@@ -1,25 +1,19 @@
-"""Single-pass automaton vs the prefix trie vs the sequential baseline.
+"""Single-pass automaton vs the sequential baseline.
 
-The compiler's third gear: eligible locations (child-axis steps with at
-most one positional predicate, primaries *and* alternatives) compile
-into one DOM automaton, so a page is scanned in a single preorder
-traversal no matter how many rules the cluster carries.  This bench
-isolates that win on one thread:
+Eligible locations (child-axis steps with at most one positional
+predicate, primaries *and* alternatives) compile into one DOM
+automaton, so a page is scanned in a single preorder traversal no
+matter how many rules the cluster carries.  This bench isolates that
+win on one thread:
 
 * the sequential :class:`ExtractionProcessor` (the Figure-1 baseline);
-* the compiled wrapper with the automaton disabled — the prefix trie
-  alone (``--no-automaton`` in the CLI);
-* the compiled wrapper with the automaton on (the default).
+* the compiled wrapper (the automaton plus its residual trie).
 
-All three must produce byte-identical output on the same corpus — the
-bench asserts it before timing anything, so the speedup numbers are
-never for a path that silently diverged.  Two acceptance bars:
-
-* the automaton path must beat the sequential baseline by at least
-  :data:`MIN_AUTOMATON_SPEEDUP` (measured ~3.1-4.0x locally);
-* it must beat the trie-only wrapper by at least
-  :data:`MIN_AUTOMATON_VS_TRIE` (measured ~1.6x — the single traversal
-  vs one trie walk per page with re-counted siblings).
+Both must produce identical values, raw node values and failures on
+the same corpus — the bench asserts it before timing anything, so the
+speedup number is never for a path that silently diverged.  The
+acceptance bar: the compiled wrapper must beat the sequential baseline
+by at least :data:`MIN_AUTOMATON_SPEEDUP` (measured ~3.1-4.0x locally).
 
 Timings take the best of :data:`ROUNDS` passes so a scheduler hiccup on
 a shared CI runner cannot fail the gate on its own.  Measurements merge
@@ -45,10 +39,6 @@ ROUNDS = 3
 #: Regression floor: one automaton thread vs the sequential baseline
 #: (measured ~3.1-4.0x; the floor leaves headroom for slow CI runners).
 MIN_AUTOMATON_SPEEDUP = 2.0
-
-#: Regression floor: the automaton vs the trie-only wrapper (measured
-#: ~1.6x from collapsing per-rule trie walks into one traversal).
-MIN_AUTOMATON_VS_TRIE = 1.15
 
 
 def _build_corpus():
@@ -92,8 +82,8 @@ def _sequential(repository, movies, actors) -> float:
     return _best(run)
 
 
-def _compiled(repository, movies, actors, automaton: bool) -> float:
-    wrappers = repository.compile_all(automaton=automaton)
+def _compiled(repository, movies, actors) -> float:
+    wrappers = repository.compile_all()
 
     def run() -> float:
         started = time.perf_counter()
@@ -113,17 +103,14 @@ def test_automaton_throughput(benchmark):
         baseline = _outcome(
             ExtractionProcessor(repository, cluster).extract(pages)
         )
-        automaton = repository.compile_cluster(cluster)
-        trie = repository.compile_cluster(cluster, automaton=False)
-        assert _outcome(automaton.extract(pages)) == baseline
-        assert _outcome(trie.extract(pages)) == baseline
+        compiled = repository.compile_cluster(cluster)
+        assert _outcome(compiled.extract(pages)) == baseline
 
     stats = repository.compile_cluster("imdb-movies").stats
 
     seq_seconds = _sequential(repository, movies, actors)
-    trie_seconds = _compiled(repository, movies, actors, automaton=False)
     auto_seconds = benchmark.pedantic(
-        lambda: _compiled(repository, movies, actors, automaton=True),
+        lambda: _compiled(repository, movies, actors),
         rounds=1, iterations=1,
     )
 
@@ -131,7 +118,6 @@ def test_automaton_throughput(benchmark):
         return total / seconds
 
     auto_speedup = seq_seconds / auto_seconds
-    auto_vs_trie = trie_seconds / auto_seconds
     emit(
         "Single-pass automaton (pages/second, one thread)",
         "\n".join([
@@ -142,10 +128,8 @@ def test_automaton_throughput(benchmark):
             f"{stats.automaton_transitions} transitions "
             f"({stats.automaton_steps_saved} steps saved)",
             f"sequential processor : {pps(seq_seconds):9.1f} p/s",
-            f"trie-only wrapper    : {pps(trie_seconds):9.1f} p/s"
-            f"  ({seq_seconds / trie_seconds:.2f}x)",
             f"automaton wrapper    : {pps(auto_seconds):9.1f} p/s"
-            f"  ({auto_speedup:.2f}x, {auto_vs_trie:.2f}x vs trie)",
+            f"  ({auto_speedup:.2f}x)",
         ]),
     )
     results_path = write_results({
@@ -155,24 +139,17 @@ def test_automaton_throughput(benchmark):
             "compiler_stats": stats.as_dict(),
             "pages_per_second": {
                 "sequential": pps(seq_seconds),
-                "trie_only": pps(trie_seconds),
                 "automaton": pps(auto_seconds),
             },
             "automaton_speedup_vs_sequential": auto_speedup,
-            "automaton_speedup_vs_trie": auto_vs_trie,
             "min_automaton_speedup": MIN_AUTOMATON_SPEEDUP,
-            "min_automaton_vs_trie": MIN_AUTOMATON_VS_TRIE,
         },
     })
     print(f"results written to {results_path}")
 
-    # Regression gates: the single traversal must stay decisively
-    # ahead of both the baseline and the trie it subsumes.
+    # Regression gate: the single traversal must stay decisively
+    # ahead of the baseline.
     assert auto_speedup >= MIN_AUTOMATON_SPEEDUP, (
         f"automaton is only {auto_speedup:.2f}x sequential "
         f"(regression floor: {MIN_AUTOMATON_SPEEDUP}x)"
-    )
-    assert auto_vs_trie >= MIN_AUTOMATON_VS_TRIE, (
-        f"automaton is only {auto_vs_trie:.2f}x the trie-only wrapper "
-        f"(regression floor: {MIN_AUTOMATON_VS_TRIE}x)"
     )

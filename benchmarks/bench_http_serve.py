@@ -1,19 +1,18 @@
-"""HTTP serve front-end throughput — sockets vs the stdin loops.
+"""HTTP serve front-end throughput — sockets vs the stdin loop.
 
 Measures requests/second (one page per request line) over a paced
-client for the three ``serve`` front-ends:
+client for the two ``serve`` front-ends:
 
-* the ``--sync`` one-line-at-a-time stdin loop;
-* the asyncio stdin front-end (``serve``'s default);
+* the asyncio stdin front-end;
 * the HTTP front-end (``serve --http``): one keep-alive connection,
   one ``POST /batch`` whose NDJSON body arrives at the paced rate
   while the chunked NDJSON response streams back concurrently —
   the socket twin of the paced-stdin scenario.
 
 Pacing models a real upstream feed (:data:`PRODUCER_LATENCY` per
-line, as in ``bench_service_throughput``): the async front-ends win
-exactly by overlapping that production latency with extraction, and
-the HTTP layer must not squander the win on framing.
+line): the front-ends win exactly by overlapping that production
+latency with extraction, and the HTTP layer must not squander the win
+on framing.
 
 Acceptance bar (failing the run — this file is CI's regression gate
 for the socket ingress): HTTP throughput must stay within
@@ -35,7 +34,7 @@ from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
 from repro.service.http import HttpFrontEnd
-from repro.service.serve import ServeHandler, serve_async, serve_sync
+from repro.service.serve import ServeHandler, serve_async
 from repro.sites.imdb import generate_imdb_site
 
 from conftest import emit, write_results
@@ -65,7 +64,7 @@ def _serve_corpus() -> tuple[ServeHandler, list[str]]:
         json.dumps({"url": page.url, "html": page.html})
         for page in movies[:SERVE_PAGES]
     ]
-    for page in movies[:SERVE_PAGES]:  # parse once, as the stdin bench does
+    for page in movies[:SERVE_PAGES]:  # parse once; measure the front-ends
         page.document
     return handler, lines
 
@@ -79,16 +78,6 @@ class _PacedStdin:
     def readline(self) -> str:
         time.sleep(PRODUCER_LATENCY)
         return next(self._lines, "")
-
-
-def _sync_stdin_seconds(handler, lines: list[str]) -> float:
-    stdin = _PacedStdin([line + "\n" for line in lines])
-    out = io.StringIO()
-    started = time.perf_counter()
-    stats = serve_sync(handler, stdin, out)
-    elapsed = time.perf_counter() - started
-    assert stats.served == len(lines)
-    return elapsed
 
 
 def _async_stdin_seconds(handler, lines: list[str]) -> float:
@@ -150,7 +139,6 @@ def test_http_serve_throughput(benchmark):
     handler, lines = _serve_corpus()
     total = len(lines)
 
-    sync_seconds = _sync_stdin_seconds(handler, lines)
     async_seconds = _async_stdin_seconds(handler, lines)
     http_seconds = benchmark.pedantic(
         lambda: _http_seconds(handler, lines), rounds=1, iterations=1,
@@ -165,9 +153,7 @@ def test_http_serve_throughput(benchmark):
         "\n".join([
             f"pages: {total}, producer latency: "
             f"{PRODUCER_LATENCY * 1000:.1f} ms/line, 8 in flight",
-            f"sync stdin loop      : {pps(sync_seconds):9.1f} req/s",
-            f"async stdin loop     : {pps(async_seconds):9.1f} req/s"
-            f"  ({sync_seconds / async_seconds:.2f}x sync)",
+            f"async stdin loop     : {pps(async_seconds):9.1f} req/s",
             f"http /batch stream   : {pps(http_seconds):9.1f} req/s"
             f"  ({http_vs_async:.2f}x async stdin)",
         ]),
@@ -177,7 +163,6 @@ def test_http_serve_throughput(benchmark):
             "pages": total,
             "producer_latency_seconds": PRODUCER_LATENCY,
             "requests_per_second": {
-                "sync_stdin_paced": pps(sync_seconds),
                 "async_stdin_paced": pps(async_seconds),
                 "http_batch_paced": pps(http_seconds),
             },

@@ -1,49 +1,35 @@
-"""Service throughput — engine vs. sequential, async serve vs. sync.
+"""Service throughput — the batch runtime vs. the sequential baseline.
 
 Measures pages/second over a two-cluster synthetic site for:
 
 * the sequential :class:`ExtractionProcessor` (the Figure-1 baseline,
   re-walking rule locations page by page);
 * one compiled wrapper on one thread (isolates the compilation win:
-  pre-parsed ASTs + prefix-factored DOM walks);
-* the :class:`BatchExtractionEngine` at 2 and 4 thread workers;
-* the ``serve`` front-ends: the ``--sync`` one-line-at-a-time loop vs
-  the asyncio front-end, fed by a paced producer
-  (:data:`PRODUCER_LATENCY` per line — a real upstream pipe costs
-  something to fill; overlapping that cost with extraction is exactly
-  what the async front-end buys, and what the bench gates on).
+  pre-parsed ASTs + the single-pass automaton);
+* a :class:`StreamingRuntime` over an :class:`IterablePageSource` at 2
+  and 4 thread workers.
 
-Pages are pre-parsed once so the engine variants measure pure
-extraction machinery.  Two acceptance bars, both failing the run when
-missed (this file is CI's throughput regression gate):
-
-* the compiled parallel path must beat the sequential baseline at
-  >= 2 workers by at least :data:`MIN_ENGINE_SPEEDUP` (PR 1 measured
-  ~1.8x from compilation alone; the single-pass automaton lifted the
-  measured figure to ~2.5-2.9x, so the floor ratcheted 1.3x -> 2.0x);
-* the async serve front-end must sustain at least
-  :data:`MIN_ASYNC_SERVE_SPEEDUP` x the sync loop's throughput on the
-  paced corpus (measured ~1.2-1.4x; pure in-memory feeds with zero
-  production latency are reported too, ungated, where the event-loop
-  overhead on a GIL-bound workload shows as <1x).
+Pages are pre-parsed once so the runtime variants measure pure
+extraction machinery.  The acceptance bar fails the run when missed
+(this file is CI's throughput regression gate): the compiled parallel
+path must beat the sequential baseline at >= 2 workers by at least
+:data:`MIN_ENGINE_SPEEDUP` (compilation alone measured ~1.8x; the
+single-pass automaton lifted the measured figure to ~2.5-2.9x, so the
+floor ratcheted 1.3x -> 2.0x).
 
 Measurements are also written as JSON to ``$BENCH_RESULTS`` (default
-``bench-results/service_throughput.json``; sections merge, so both
-tests land in one artifact) so CI can upload them as a workflow
-artifact and runs stay comparable over time.
+``bench-results/service_throughput.json``; sections merge, so every
+service bench lands in one artifact) so CI can upload them as a
+workflow artifact and runs stay comparable over time.
 """
 
-import asyncio
-import io
-import json
 import time
 
 from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
 from repro.extraction.extractor import ExtractionProcessor
-from repro.service.engine import BatchExtractionEngine
-from repro.service.serve import ServeHandler, serve_async
+from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.service.sink import NullSink
 from repro.sites.imdb import generate_imdb_site
 
@@ -52,22 +38,11 @@ from conftest import emit, write_results
 N_MOVIES = 200
 N_ACTORS = 60
 
-#: Regression floor: the 2-worker engine must stay at least this much
+#: Regression floor: the 2-worker runtime must stay at least this much
 #: faster than the sequential baseline.  Ratcheted from 1.3x when the
 #: single-pass automaton landed (measured ~2.5-2.9x; 2.5x is the
 #: stretch goal once CI variance is charted).
 MIN_ENGINE_SPEEDUP = 2.0
-
-#: Pages fed through each serve front-end.
-SERVE_PAGES = 120
-
-#: Seconds the paced producer spends per line — the modelled cost of
-#: the upstream pipe/network filling stdin.
-PRODUCER_LATENCY = 0.001
-
-#: Regression floor: the async front-end must at least match the sync
-#: loop on the paced corpus (measured ~1.2-1.4x).
-MIN_ASYNC_SERVE_SPEEDUP = 1.0
 
 
 def _build_corpus():
@@ -106,10 +81,8 @@ def _compiled_one_thread(repository, movies, actors) -> float:
 
 
 def _engine(repository, pages, workers: int) -> float:
-    engine = BatchExtractionEngine(
-        repository, workers=workers, chunk_size=16
-    )
-    report = engine.run(pages, NullSink())
+    runtime = StreamingRuntime(repository, workers=workers, chunk_size=16)
+    report = runtime.run(IterablePageSource(pages), NullSink())
     assert report.pages_served == len(pages)
     return report.wall_seconds
 
@@ -137,9 +110,9 @@ def test_service_throughput(benchmark):
             f"sequential processor : {pps(seq_seconds):9.1f} p/s",
             f"compiled, 1 thread   : {pps(compiled_seconds):9.1f} p/s"
             f"  ({seq_seconds / compiled_seconds:.2f}x)",
-            f"engine, 2 workers    : {pps(engine2_seconds):9.1f} p/s"
+            f"runtime, 2 workers   : {pps(engine2_seconds):9.1f} p/s"
             f"  ({engine2_speedup:.2f}x)",
-            f"engine, 4 workers    : {pps(engine4_seconds):9.1f} p/s"
+            f"runtime, 4 workers   : {pps(engine4_seconds):9.1f} p/s"
             f"  ({seq_seconds / engine4_seconds:.2f}x)",
         ]),
     )
@@ -163,119 +136,8 @@ def test_service_throughput(benchmark):
     # Regression gate: the compiled parallel path must beat the
     # sequential baseline at >= 2 workers with margin to spare.
     assert engine2_speedup >= MIN_ENGINE_SPEEDUP, (
-        f"engine@2 is only {engine2_speedup:.2f}x sequential "
+        f"runtime@2 is only {engine2_speedup:.2f}x sequential "
         f"(regression floor: {MIN_ENGINE_SPEEDUP}x)"
     )
     # And compilation alone is already a win.
     assert compiled_seconds < seq_seconds
-
-
-# --------------------------------------------------------------------- #
-# Async serve vs the sync loop
-# --------------------------------------------------------------------- #
-
-
-class _PacedStdin:
-    """A stdin whose producer needs ~1 ms per line, like a real pipe."""
-
-    def __init__(self, lines: list[str]) -> None:
-        self._lines = iter(lines)
-
-    def readline(self) -> str:
-        time.sleep(PRODUCER_LATENCY)
-        return next(self._lines, "")
-
-
-def _serve_corpus() -> tuple[ServeHandler, list[str]]:
-    repository, _, movies, _ = _build_corpus()
-    handler = ServeHandler(repository, cluster="imdb-movies")
-    lines = [
-        json.dumps({"url": page.url, "html": page.html}) + "\n"
-        for page in movies[:SERVE_PAGES]
-    ]
-    return handler, lines
-
-
-def _sync_serve(handler: ServeHandler, lines: list[str],
-                paced: bool) -> float:
-    """The ``serve --sync`` core: read, handle, write, one at a time."""
-    stdin = _PacedStdin(lines) if paced else io.StringIO("".join(lines))
-    out = io.StringIO()
-    served = 0
-    started = time.perf_counter()
-    while True:
-        line = stdin.readline()
-        if not line:
-            break
-        payload, ok = handler.handle_line(line.strip())
-        print(payload, file=out, flush=True)
-        served += ok
-    elapsed = time.perf_counter() - started
-    assert served == len(lines)
-    return elapsed
-
-
-def _async_serve(handler: ServeHandler, lines: list[str],
-                 paced: bool) -> float:
-    stdin = _PacedStdin(lines) if paced else io.StringIO("".join(lines))
-    out = io.StringIO()
-    started = time.perf_counter()
-    stats = asyncio.run(serve_async(handler, stdin, out, max_inflight=8))
-    elapsed = time.perf_counter() - started
-    assert stats.served == len(lines)
-    return elapsed
-
-
-def test_async_serve_throughput(benchmark):
-    handler, lines = _serve_corpus()
-    total = len(lines)
-
-    sync_paced = _sync_serve(handler, lines, paced=True)
-    async_paced = benchmark.pedantic(
-        lambda: _async_serve(handler, lines, paced=True),
-        rounds=1, iterations=1,
-    )
-    # The zero-latency variants are diagnostics, not a gate: with no
-    # production cost to overlap, the event loop is pure overhead.
-    sync_memory = _sync_serve(handler, lines, paced=False)
-    async_memory = _async_serve(handler, lines, paced=False)
-
-    def pps(seconds: float) -> float:
-        return total / seconds
-
-    speedup = sync_paced / async_paced
-    emit(
-        "Serve front-ends (pages/second, higher is better)",
-        "\n".join([
-            f"pages: {total}, producer latency: "
-            f"{PRODUCER_LATENCY * 1000:.1f} ms/line, 8 in flight",
-            f"sync loop, paced     : {pps(sync_paced):9.1f} p/s",
-            f"async, paced         : {pps(async_paced):9.1f} p/s"
-            f"  ({speedup:.2f}x)",
-            f"sync loop, in-memory : {pps(sync_memory):9.1f} p/s",
-            f"async, in-memory     : {pps(async_memory):9.1f} p/s"
-            f"  ({sync_memory / async_memory:.2f}x)",
-        ]),
-    )
-    results_path = write_results({
-        "serve": {
-            "pages": total,
-            "producer_latency_seconds": PRODUCER_LATENCY,
-            "pages_per_second": {
-                "sync_paced": pps(sync_paced),
-                "async_paced": pps(async_paced),
-                "sync_in_memory": pps(sync_memory),
-                "async_in_memory": pps(async_memory),
-            },
-            "async_speedup_paced": speedup,
-            "min_async_serve_speedup": MIN_ASYNC_SERVE_SPEEDUP,
-        },
-    })
-    print(f"results written to {results_path}")
-
-    # Regression gate: overlapping production latency with extraction
-    # must keep the async front-end at least level with the sync loop.
-    assert speedup >= MIN_ASYNC_SERVE_SPEEDUP, (
-        f"async serve is only {speedup:.2f}x the sync loop "
-        f"(regression floor: {MIN_ASYNC_SERVE_SPEEDUP}x)"
-    )

@@ -2,7 +2,7 @@
 
 A sharded run pays for manifest bookkeeping, content digests and the
 k-way merge.  This benchmark runs the same corpus through (a) one
-ordered engine and (b) a 3-shard plan/run/merge pipeline executed
+ordered runtime and (b) a 3-shard plan/run/merge pipeline executed
 back-to-back on one host, reports the relative overhead, and checks
 the merged stream is byte-identical to the unsharded one — the
 property that makes multi-host scaling safe.
@@ -14,7 +14,7 @@ import time
 from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
-from repro.service.engine import BatchExtractionEngine
+from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.service.shard import ShardMerger, ShardPlanner, ShardWorker
 from repro.service.sink import JsonlSink
 from repro.sites.imdb import generate_imdb_site
@@ -51,8 +51,8 @@ def test_shard_pipeline_overhead(benchmark, tmp_path):
     started = time.perf_counter()
     stream = io.StringIO()
     with JsonlSink(stream) as sink:
-        BatchExtractionEngine(repository, workers=2, ordered=True).run(
-            pages, sink
+        StreamingRuntime(repository, workers=2, ordered=True).run(
+            IterablePageSource(pages), sink
         )
     unsharded_seconds = time.perf_counter() - started
     unsharded = stream.getvalue()
@@ -75,7 +75,7 @@ def test_shard_pipeline_overhead(benchmark, tmp_path):
         "Shard pipeline (one host, back-to-back workers)",
         "\n".join([
             f"pages: {len(pages)}, shards: {SHARDS}",
-            f"unsharded ordered engine : {unsharded_seconds:.3f}s",
+            f"unsharded ordered runtime: {unsharded_seconds:.3f}s",
             f"plan + run x{SHARDS} + merge    : {sharded_seconds:.3f}s"
             f"  ({sharded_seconds / unsharded_seconds:.2f}x)",
             "merged output byte-identical to unsharded run: yes",

@@ -3,8 +3,8 @@
 1. Offline (Figure 1): build and validate rules on ground-truth pages,
    save the repository — the deployable artifact.
 2. Online (repro.service): reload the repository, fit a router from a
-   few exemplar pages, and stream the whole site through the parallel
-   batch engine into an incremental JSONL sink.
+   few exemplar pages, and stream the whole site through a parallel
+   streaming runtime into an incremental JSONL sink.
 
 Run:  PYTHONPATH=src python examples/batch_service.py
 """
@@ -15,7 +15,12 @@ from pathlib import Path
 from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
-from repro.service import BatchExtractionEngine, ClusterRouter, JsonlSink
+from repro.service import (
+    ClusterRouter,
+    IterablePageSource,
+    JsonlSink,
+    StreamingRuntime,
+)
 from repro.sites.imdb import generate_imdb_site
 
 
@@ -50,20 +55,20 @@ def main() -> None:
         "imdb-actors": site.pages_with_hint("imdb-actors")[:6],
         "imdb-search": site.pages_with_hint("imdb-search")[:4],
     })
-    engine = BatchExtractionEngine(
+    runtime = StreamingRuntime(
         repository, router=router, workers=2, chunk_size=16
     )
     out = workdir / "records.jsonl"
     with JsonlSink(out) as sink:
-        report = engine.run(list(site), sink)
+        report = runtime.run(IterablePageSource(site), sink)
 
     print(report.summary())
     print(f"records: {out}")
     wrapper = repository.compile_cluster("imdb-movies")
     print(
         f"compiled imdb-movies wrapper: {wrapper.stats.rules} rules, "
-        f"{wrapper.stats.steps_shared} DOM steps/page saved by "
-        f"prefix factoring"
+        f"{wrapper.stats.automaton_steps_saved} DOM steps/page saved by "
+        f"the single-pass automaton"
     )
 
 

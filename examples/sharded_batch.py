@@ -2,7 +2,7 @@
 
 Simulates the three-command multi-host recipe (see README "Scaling out
 with shards") in a single process: plan a corpus into three shards,
-run each shard through its own ordered engine — in production each of
+run each shard through its own ordered runtime — in production each of
 these runs on a different host — then mergesort the outputs and check
 the merged stream is byte-identical to an unsharded run.
 
@@ -17,11 +17,12 @@ from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
 from repro.service import (
-    BatchExtractionEngine,
+    IterablePageSource,
     JsonlSink,
     ShardMerger,
     ShardPlanner,
     ShardWorker,
+    StreamingRuntime,
 )
 from repro.sites.imdb import generate_imdb_site
 
@@ -61,8 +62,8 @@ def main() -> None:
     # The point of it all: byte-identity with the unsharded run.
     unsharded = io.StringIO()
     with JsonlSink(unsharded) as sink:
-        BatchExtractionEngine(repository, workers=4, ordered=True).run(
-            pages, sink
+        StreamingRuntime(repository, workers=4, ordered=True).run(
+            IterablePageSource(pages), sink
         )
     assert merged.getvalue() == unsharded.getvalue()
     print("merged output is byte-identical to the unsharded run")

@@ -14,9 +14,8 @@ Subcommands mirror the Figure-1 pipeline:
                     runtime (router -> compiled wrappers -> sink);
 * ``serve``       — online loop: read ``{"url", "html"}`` JSON lines
                     from stdin, write extraction records to stdout.
-                    Asynchronous by default (bounded in-flight pages,
-                    output in input order); ``--sync`` keeps the
-                    one-line-at-a-time loop; ``--http HOST:PORT``
+                    Asynchronous (bounded in-flight pages, output in
+                    input order); ``--http HOST:PORT``
                     serves the same contract over a socket instead
                     (``POST /extract``, streaming ``POST /batch``,
                     ``GET /healthz``, ``GET /metrics``) with graceful
@@ -555,8 +554,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             ordered=True,
             adapter=adapter,
-            automaton=args.automaton,
-            transport=args.transport,
         )
         _attach_adapter_log(adapter, args)
     except (ValueError, OSError) as exc:
@@ -740,8 +737,6 @@ def _run_one_shard(args, directory, plan, repository, router,
             chunk_size=args.chunk_size,
             skip_unreadable=True,
             adapter=adapter,
-            automaton=args.automaton,
-            transport=args.transport,
         )
         _attach_adapter_log(
             adapter, args, log_suffix=f".{shard_basename(shard)}"
@@ -1156,9 +1151,6 @@ def _serve_multiworker(handler, args) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServeHandler, ServePolicy
 
-    if args.sync and args.http:
-        print("--sync and --http are mutually exclusive", file=sys.stderr)
-        return 2
     multiworker = args.workers > 1 or args.gateway
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
@@ -1264,7 +1256,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cluster=cluster or None,
         adapter=adapter,
         policy=policy,
-        automaton=args.automaton,
         # Compiled once, here; the supervisor's forked children inherit
         # this handler (and the stamped pin) without recompiling.
         artifact_version=reg_version,
@@ -1342,8 +1333,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_stdin(handler, args) -> int:
-    """The stdin front-ends (async by default, ``--sync`` loop)."""
-    from repro.service import serve_async, serve_sync
+    """The asyncio stdin front-end."""
+    from repro.service import serve_async
 
     stdin = args.stdin if args.stdin is not None else sys.stdin
     stdout = args.stdout if args.stdout is not None else sys.stdout
@@ -1356,22 +1347,16 @@ def _serve_stdin(handler, args) -> int:
             reconfigure(errors="backslashreplace")
         except (ValueError, OSError):  # pragma: no cover - exotic stream
             pass
-    if args.sync:
-        stats = serve_sync(
-            handler, stdin, stdout, on_output_closed=_serve_output_closed
-        )
-    else:
-        try:
-            stats = asyncio.run(serve_async(
-                handler, stdin, stdout,
-                on_output_closed=_serve_output_closed,
-            ))
-        except KeyboardInterrupt:
-            # The interrupt hit the event loop itself rather than the
-            # coroutine; in-flight output was flushed line-complete.
-            print("interrupted; partial output is line-complete",
-                  file=sys.stderr)
-            return 130
+    try:
+        stats = asyncio.run(serve_async(
+            handler, stdin, stdout, on_output_closed=_serve_output_closed,
+        ))
+    except KeyboardInterrupt:
+        # The interrupt hit the event loop itself rather than the
+        # coroutine; in-flight output was flushed line-complete.
+        print("interrupted; partial output is line-complete",
+              file=sys.stderr)
+        return 130
     if stats.interrupted:
         print("interrupted; partial output is line-complete",
               file=sys.stderr)
@@ -1678,16 +1663,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--executor", choices=["thread", "process"],
                        default="thread")
     batch.add_argument("--chunk-size", type=int, default=16)
-    batch.add_argument("--no-automaton", dest="automaton",
-                       action="store_false",
-                       help="compile per-rule tries instead of the "
-                            "single-pass extraction automaton "
-                            "(output is identical either way)")
-    batch.add_argument("--transport", choices=["auto", "shm", "pickle"],
-                       default="auto",
-                       help="process-executor page transport: shared "
-                            "memory when available (auto), required "
-                            "(shm) or legacy pickling (pickle)")
     batch.add_argument("--route", choices=["auto", "hint"], default="auto",
                        help="auto: fit a signature router from labelled "
                             "exemplars; hint: trust filename hints")
@@ -1733,14 +1708,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   choices=["thread", "process"],
                                   default="thread")
         shard_parser.add_argument("--chunk-size", type=int, default=16)
-        shard_parser.add_argument("--no-automaton", dest="automaton",
-                                  action="store_false",
-                                  help="compile per-rule tries instead "
-                                       "of the single-pass automaton")
-        shard_parser.add_argument("--transport",
-                                  choices=["auto", "shm", "pickle"],
-                                  default="auto",
-                                  help="process-executor page transport")
         shard_parser.add_argument("--route", choices=["auto", "hint"],
                                   default="auto")
         shard_parser.add_argument("--threshold", type=float, default=0.5)
@@ -1799,9 +1766,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory of hint-named pages to fit the router")
     serve.add_argument("--threshold", type=float, default=0.5)
     serve.add_argument("--exemplars", type=int, default=8)
-    serve.add_argument("--sync", action="store_true",
-                       help="one-line-at-a-time loop instead of the "
-                            "async front-end")
     serve.add_argument("--http", default="", metavar="HOST:PORT",
                        help="serve over HTTP instead of stdin "
                             "(POST /extract, streaming POST /batch, "
@@ -1848,10 +1812,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on exit, write the Prometheus text "
                             "exposition of this run's metrics here "
                             "(--http serves it live on GET /metrics)")
-    serve.add_argument("--no-automaton", dest="automaton",
-                       action="store_false",
-                       help="compile per-rule tries instead of the "
-                            "single-pass extraction automaton")
     _adaptation_arguments(serve)
     _registry_arguments(serve, canary=True)
     serve.set_defaults(func=cmd_serve, stdin=None, stdout=None)

@@ -19,13 +19,13 @@ record rules in the repository           fit router on exemplar pages
 Every entry point is a composition over the same
 :class:`~repro.service.runtime.StreamingRuntime`:
 
-* batch (:mod:`repro.service.engine`) — thread/process executors over
-  a directory stream;
+* batch — a runtime with a thread or process executor over a
+  directory stream;
 * sharded batch (:mod:`repro.service.shard`) — a plan slice per host,
   merged back into the unsharded byte stream, resumable per shard;
 * online serving (:mod:`repro.service.serve`) — single pages through
-  an inline runtime, under a sync or asyncio stdin front-end or the
-  HTTP ingress (:mod:`repro.service.http`), all sharing one
+  an inline runtime, under the asyncio stdin front-end or the HTTP
+  ingress (:mod:`repro.service.http`), both sharing one
   :class:`~repro.service.serve.ServeHandler` and
   :class:`~repro.service.serve.ServePolicy`;
 * online adaptation (:mod:`repro.service.adapt`) — sliding-window
@@ -63,11 +63,9 @@ from repro.service.compiler import (
     CompilerStats,
     compile_wrapper,
 )
-from repro.service.engine import BatchExtractionEngine
 from repro.service.router import ClusterProfile, ClusterRouter, RouteDecision, UNROUTABLE
 from repro.service.runtime import (
     ClusterStats,
-    EngineReport,
     IterablePageSource,
     LoadingPageSource,
     OrderedEmitter,
@@ -112,7 +110,6 @@ from repro.service.serve import (
     ServePolicy,
     ServeStats,
     serve_async,
-    serve_sync,
 )
 from repro.service.shard import (
     MergeReport,
@@ -136,11 +133,7 @@ from repro.service.supervisor import (
     reuseport_available,
     slice_body,
 )
-from repro.service.transport import (
-    SharedMemoryPageTransport,
-    StagedChunk,
-    TRANSPORT_KINDS,
-)
+from repro.service.transport import SharedMemoryPageTransport, StagedChunk
 from repro.service.sink import (
     CollectingSink,
     JsonlSink,
@@ -161,7 +154,6 @@ __all__ = [
     "ArtifactRegistry",
     "AsyncLinePipeline",
     "AutomatonStats",
-    "BatchExtractionEngine",
     "CanaryController",
     "CancellationToken",
     "ClusterProfile",
@@ -174,7 +166,6 @@ __all__ = [
     "CompiledRule",
     "CompiledWrapper",
     "CompilerStats",
-    "EngineReport",
     "ExtractionAutomaton",
     "GatewayError",
     "HttpFrontEnd",
@@ -217,7 +208,6 @@ __all__ = [
     "StagedChunk",
     "StreamingRuntime",
     "SupervisorStats",
-    "TRANSPORT_KINDS",
     "UNROUTABLE",
     "VersionManifest",
     "XmlDirectorySink",
@@ -237,7 +227,6 @@ __all__ = [
     "restart_backoff",
     "reuseport_available",
     "serve_async",
-    "serve_sync",
     "shard_statuses",
     "slice_body",
     "stable_shard",

@@ -1,35 +1,30 @@
 """Rule compilation: from a repository cluster to a serving artifact.
 
 An :class:`~repro.extraction.extractor.ExtractionProcessor` re-walks
-each rule's location path independently on every page.  Rules of one
-cluster overwhelmingly share their leading steps, though — the paper's
-worked example locates ``title``, ``rating`` and ``genres`` under the
-same ``BODY[1]/DIV[2]`` subtree — so a :class:`CompiledWrapper`
-factors the cluster's primary locations into a shared prefix trie and
-evaluates each distinct prefix once per page.
-
-Three compile-time preparations make the hot path fast without
-changing semantics:
+each rule's location path independently on every page.  A
+:class:`CompiledWrapper` instead compiles the cluster once into a
+serving artifact that reads a page in one pass:
 
 * **Pre-parsed ASTs** — every location is compiled to an
   :class:`~repro.xpath.engine.XPath` once, at compile time.
-* **Prefix factoring** — primary locations that are relative location
-  paths are merged into a step trie; applying a location path is
-  associative over its steps, so evaluating a shared prefix once and
-  continuing per-branch is exact.
-* **Specialised child steps** — the common paper-style step
-  (``child`` axis, optional positional predicate such as ``TR[2]``)
-  is applied with direct child-list indexing.  This is only used while
-  the running node-set is *disjoint* (no node an ancestor of another),
+* **The single-pass automaton** — every eligible location, primaries
+  *and* alternatives across every rule, compiles into one
+  :class:`~repro.service.automaton.ExtractionAutomaton`, so a page is
+  scanned once regardless of rule count.
+* **The residual prefix trie** — relative primaries the automaton
+  cannot take (descendant axes, value predicates) are merged into a
+  step trie walked in the same ``extract_page`` call; applying a
+  location path is associative over its steps, so evaluating a shared
+  prefix once and continuing per branch is exact.  The common
+  paper-style step (``child`` axis, optional positional predicate such
+  as ``TR[2]``) is applied with direct child-list indexing while the
+  running node-set is *disjoint* (no node an ancestor of another),
   where concatenating per-parent matches provably preserves document
   order and uniqueness; any other step falls back to the generic
   evaluator and turns the flag off.
 
-Since the single-pass automaton landed, eligible locations — primaries
-*and* alternatives, across every rule — additionally compile into one
-:class:`~repro.service.automaton.ExtractionAutomaton`, so a page is
-scanned once regardless of rule count (``automaton=False`` keeps the
-trie-only path for A/B benchmarking).
+Everything else (absolute paths, filter expressions, ineligible
+alternatives) evaluates lazily through the generic engine.
 
 Post-processor chains are resolved per component at compile time
 (:meth:`repro.extraction.postprocess.PostProcessor.resolve`), so the
@@ -47,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.core.repository import RuleRepository
-from repro.core.rule import MappingRule, MatchResult
+from repro.core.rule import MappingRule
 from repro.dom.node import Comment, Element, Node, Text
 from repro.errors import ExtractionError
 from repro.extraction.extractor import (
@@ -150,7 +145,7 @@ class CompiledRule:
         index: position within the wrapper (trie terminal key).
         locations: every location pre-compiled, in rule order.
         trie_primary: whether the primary location is evaluated through
-            the wrapper's shared prefix trie (alternatives always
+            the wrapper's residual prefix trie (alternatives always
             evaluate lazily — they only run when the primary is void).
         post: pre-resolved post-processing chain, or ``None``.
     """
@@ -161,8 +156,7 @@ class CompiledRule:
     trie_primary: bool
     post: Optional[Callable[[list[str]], list[str]]]
     #: Automaton slot per location (parallel to ``locations``); ``None``
-    #: where a location is ineligible (or the automaton is disabled)
-    #: and must evaluate through the generic engine.
+    #: where a location is ineligible and evaluates elsewhere.
     slots: tuple[Optional[int], ...] = ()
 
     @property
@@ -176,10 +170,10 @@ class CompilerStats:
     """Prefix-sharing accounting (compile time, per wrapper)."""
 
     rules: int
-    trie_rules: int       # rules whose primary went into the trie
+    trie_rules: int       # rules whose primary went into the residual trie
     primary_steps: int    # total steps across those primaries
-    trie_nodes: int       # distinct steps actually evaluated per page
-    # -- single-pass automaton (0s when compiled with automaton=False) --
+    trie_nodes: int       # distinct trie steps actually evaluated per page
+    # -- single-pass automaton --
     automaton_slots: int = 0        # locations riding the one-pass scan
     automaton_states: int = 0       # distinct automaton states
     automaton_transitions: int = 0  # dispatch-table entries
@@ -191,17 +185,17 @@ class CompilerStats:
 
     @property
     def steps_shared(self) -> int:
-        """Steps per page saved by prefix factoring."""
+        """Steps per page saved by prefix factoring in the residual trie."""
         return self.primary_steps - self.trie_nodes
 
     @property
     def automaton_steps_saved(self) -> int:
-        """Steps per page the automaton dedupes vs. the trie pipeline.
+        """Steps per page the automaton dedupes across its locations.
 
-        The trie shares primary prefixes but walks each branch and
-        every alternative independently; the automaton evaluates each
-        distinct transition once, so the saving is total location
-        steps minus distinct transitions.
+        Walked one by one, every location would evaluate each of its
+        steps; the automaton evaluates each distinct transition once,
+        so the saving is total location steps minus distinct
+        transitions.
         """
         return self.automaton_location_steps - self.automaton_transitions
 
@@ -234,29 +228,23 @@ class CompiledWrapper:
         self,
         cluster: str,
         rules: list[CompiledRule],
+        automaton: ExtractionAutomaton,
         trie_root: _TrieNode,
         stats: CompilerStats,
         version: Optional[str] = None,
-        automaton: Optional[ExtractionAutomaton] = None,
-        residual_root: Optional[_TrieNode] = None,
     ) -> None:
         self.cluster = cluster
         self.rules = rules
+        #: The single-pass automaton over every eligible location.
+        self.automaton = automaton
+        #: Trie over factorable primaries the automaton could *not*
+        #: absorb (descendant axes, value predicates): walked alongside
+        #: the scan so those rules keep their prefix sharing.
         self._trie_root = trie_root
         self.stats = stats
         #: Registry version id of the artifact this wrapper was
         #: compiled from (``None`` for direct in-memory builds).
         self.version = version
-        #: The single-pass automaton over every eligible location, or
-        #: ``None`` when compiled with ``automaton=False`` (the
-        #: trie-only path kept for A/B benchmarking).
-        self.automaton = automaton
-        #: Trie over factorable primaries the automaton could *not*
-        #: absorb (descendant axes, value predicates): walked alongside
-        #: the scan so those rules keep their prefix sharing.
-        self._residual_root = (
-            residual_root if residual_root is not None else trie_root
-        )
 
     # -- hot path -------------------------------------------------------- #
 
@@ -267,52 +255,34 @@ class CompiledWrapper:
     ) -> ExtractedPage:
         """Apply every rule to one page (same contract as the processor)."""
         context = page.root_element
-        automaton = self.automaton
-        if automaton is not None:
-            hits = automaton.scan(context)
-            primary_hits = self._walk_trie(context, self._residual_root)
-        else:
-            hits = None
-            primary_hits = self._walk_trie(context, self._trie_root)
+        hits = self.automaton.scan(context)
+        primary_hits = self._walk_trie(context)
         extracted = ExtractedPage(url=page.url)
         for crule in self.rules:
             rule = crule.rule
-            if hits is not None:
-                slot = crule.slots[0]
-                if slot is not None:
-                    nodes = hits[slot]
-                elif crule.trie_primary:
-                    nodes = primary_hits.get(crule.index)
-                else:
-                    nodes = crule.locations[0].select(context)
-                if nodes:
-                    match = rule.match_from_nodes(
-                        nodes, rule.primary_location
-                    )
-                else:
-                    match = None
-                    for xpath, alt_slot in zip(
-                        crule.locations[1:], crule.slots[1:]
-                    ):
-                        nodes = (
-                            hits[alt_slot] if alt_slot is not None
-                            else xpath.select(context)
-                        )
-                        if nodes:
-                            match = rule.match_from_nodes(
-                                nodes, xpath.source
-                            )
-                            break
-                    if match is None:
-                        match = rule.match_from_nodes([], None)
-            else:
+            slot = crule.slots[0]
+            if slot is not None:
+                nodes = hits[slot]
+            elif crule.trie_primary:
                 nodes = primary_hits.get(crule.index)
-                if nodes:
-                    match = rule.match_from_nodes(
-                        nodes, rule.primary_location
+            else:
+                nodes = crule.locations[0].select(context)
+            if nodes:
+                match = rule.match_from_nodes(nodes, rule.primary_location)
+            else:
+                match = None
+                for xpath, alt_slot in zip(
+                    crule.locations[1:], crule.slots[1:]
+                ):
+                    nodes = (
+                        hits[alt_slot] if alt_slot is not None
+                        else xpath.select(context)
                     )
-                else:
-                    match = self._match_lazily(crule, context)
+                    if nodes:
+                        match = rule.match_from_nodes(nodes, xpath.source)
+                        break
+                if match is None:
+                    match = rule.match_from_nodes([], None)
             if failures is not None:
                 reason = classify_failure(rule, len(match.values))
                 if reason is not None:
@@ -335,18 +305,10 @@ class CompiledWrapper:
 
     # -- internals ------------------------------------------------------- #
 
-    def _match_lazily(self, crule: CompiledRule, context: Node) -> MatchResult:
-        """Locations outside the trie, tried in order (first non-empty)."""
-        start = 1 if crule.trie_primary else 0
-        for xpath in crule.locations[start:]:
-            nodes = xpath.select(context)
-            if nodes:
-                return crule.rule.match_from_nodes(nodes, xpath.source)
-        return crule.rule.match_from_nodes([], None)
-
-    def _walk_trie(self, context: Node, root: _TrieNode) -> dict[int, list]:
-        """Evaluate every factored primary with one shared DOM walk."""
+    def _walk_trie(self, context: Node) -> dict[int, list]:
+        """Evaluate every trie primary with one shared DOM walk."""
         results: dict[int, list] = {}
+        root = self._trie_root
         if not root.children:
             return results
         xcontext = XPathContext(context, 1, 1, {})
@@ -391,17 +353,17 @@ def compile_wrapper(
     cluster: str,
     postprocessor: Optional[PostProcessor] = None,
     version: Optional[str] = None,
-    automaton: bool = True,
     lint_findings: int = 0,
 ) -> CompiledWrapper:
     """Compile ``cluster``'s recorded rules into a serving wrapper.
 
+    Eligible locations compile into the single-pass
+    :class:`ExtractionAutomaton`; relative primaries it cannot take go
+    into the residual prefix trie.
+
     Args:
         version: registry version id to stamp on the wrapper when the
             repository was loaded from a versioned artifact.
-        automaton: compile eligible locations into the single-pass
-            :class:`ExtractionAutomaton` (``False`` keeps the trie-only
-            path for A/B benchmarking).
         lint_findings: static-analyzer finding count for this cluster,
             recorded on :attr:`CompilerStats.lint_findings` by deploy
             paths that lint what they compile (the registry).
@@ -417,31 +379,25 @@ def compile_wrapper(
         raise ExtractionError(f"no rules recorded for cluster {cluster!r}")
 
     root = _TrieNode(Step("self", NodeTypeTest("node")), fast=True)
-    residual_root = _TrieNode(Step("self", NodeTypeTest("node")), fast=True)
     compiled: list[CompiledRule] = []
     trie_rules = 0
     primary_steps = 0
     slot_locations: list[tuple[int, tuple[Step, ...]]] = []
-    next_slot = 0
     for index, rule in enumerate(rules):
         locations = tuple(compile_xpath(loc) for loc in rule.locations)
-        steps = _trie_candidate(locations[0])
-        trie_primary = steps is not None
+        slots: list[Optional[int]] = []
+        for xpath in locations:
+            auto_steps = automaton_steps(xpath)
+            if auto_steps is None:
+                slots.append(None)
+            else:
+                slots.append(len(slot_locations))
+                slot_locations.append((len(slot_locations), auto_steps))
+        steps = _trie_candidate(locations[0]) if slots[0] is None else None
         if steps is not None:
             trie_rules += 1
             primary_steps += len(steps)
             _trie_insert(root, steps, index)
-        slots: list[Optional[int]] = []
-        for xpath in locations:
-            auto_steps = automaton_steps(xpath) if automaton else None
-            if auto_steps is None:
-                slots.append(None)
-            else:
-                slots.append(next_slot)
-                slot_locations.append((next_slot, auto_steps))
-                next_slot += 1
-        if automaton and trie_primary and slots[0] is None:
-            _trie_insert(residual_root, steps, index)
         post = (
             postprocessor.resolve(rule.name)
             if postprocessor is not None
@@ -452,40 +408,27 @@ def compile_wrapper(
                 rule=rule,
                 index=index,
                 locations=locations,
-                trie_primary=trie_primary,
+                trie_primary=steps is not None,
                 post=post,
                 slots=tuple(slots),
             )
         )
 
-    compiled_automaton = (
-        ExtractionAutomaton(slot_locations) if automaton else None
-    )
-    auto_stats = (
-        compiled_automaton.stats if compiled_automaton is not None else None
-    )
-    trie_nodes = _count_nodes(root)
+    automaton = ExtractionAutomaton(slot_locations)
+    auto_stats = automaton.stats
     stats = CompilerStats(
         rules=len(rules),
         trie_rules=trie_rules,
         primary_steps=primary_steps,
-        trie_nodes=trie_nodes,
-        automaton_slots=auto_stats.slots if auto_stats else 0,
-        automaton_states=auto_stats.states if auto_stats else 0,
-        automaton_transitions=auto_stats.transitions if auto_stats else 0,
-        automaton_location_steps=(
-            auto_stats.location_steps if auto_stats else 0
-        ),
+        trie_nodes=_count_nodes(root),
+        automaton_slots=auto_stats.slots,
+        automaton_states=auto_stats.states,
+        automaton_transitions=auto_stats.transitions,
+        automaton_location_steps=auto_stats.location_steps,
         lint_findings=lint_findings,
     )
     return CompiledWrapper(
-        cluster,
-        compiled,
-        root,
-        stats,
-        version=version,
-        automaton=compiled_automaton,
-        residual_root=residual_root if automaton else None,
+        cluster, compiled, automaton, root, stats, version=version
     )
 
 

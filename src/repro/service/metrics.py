@@ -114,7 +114,8 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "repro_route_seconds", "histogram", (),
-        "Routing-stage latency per page (seconds).",
+        "Routing latency per page: signature and scoring, parse "
+        "excluded (seconds).",
         buckets=FINE_BUCKETS,
     ),
     MetricSpec(

@@ -4,26 +4,27 @@
 front-ends: pages come from somewhere (:class:`PageSource`), are routed
 to a cluster, extracted by a compiled wrapper, stamped with their
 global submission index, optionally transformed (:class:`Stage`), and
-emitted into a :class:`RecordSink`.  Before this module each entry
-point re-implemented that seam; now they compose one
+emitted into a :class:`RecordSink`.  Each entry point composes one
 :class:`StreamingRuntime`:
 
-* ``BatchExtractionEngine`` (:mod:`repro.service.engine`) is a façade:
-  an :class:`IterablePageSource` numbered from 0 over a runtime with a
-  thread or process executor;
+* ``batch`` runs a runtime over a :class:`LoadingPageSource` of the
+  directory's files, numbered by corpus position; library callers
+  number an in-memory stream with :class:`IterablePageSource`;
 * ``ShardWorker`` (:mod:`repro.service.shard`) runs a runtime over a
   :class:`LoadingPageSource` carrying the plan's *global* indices, so
   shard outputs merge byte-identically into the unsharded stream;
 * ``serve`` (:mod:`repro.service.serve`) wraps single pages in an
-  **inline** runtime with error containment, under a synchronous or
-  ``asyncio`` front-end.
+  **inline** runtime with error containment, under the ``asyncio``
+  stdin front-end or the HTTP ingress.
 
 Executors are pluggable: ``"inline"`` runs chunks on the calling
 thread (serving, tests), ``"thread"`` shares parsed DOMs across a
 pool, ``"process"`` re-parses in workers for real multi-core
-parallelism.  Emission is unordered (records leave as chunks complete)
-or ordered (an :class:`OrderedEmitter` reorder buffer releases records
-in submission order — the property that makes sharded runs mergeable).
+parallelism, receiving page bytes through shared memory
+(:mod:`repro.service.transport`).  Emission is unordered (records
+leave as chunks complete) or ordered (an :class:`OrderedEmitter`
+reorder buffer releases records in submission order — the property
+that makes sharded runs mergeable).
 """
 
 from __future__ import annotations
@@ -56,11 +57,7 @@ from repro.service.sink import (
     ResultSink,
     make_error_record,
 )
-from repro.service.transport import (
-    TRANSPORT_KINDS,
-    SharedMemoryPageTransport,
-    load_shm_chunk,
-)
+from repro.service.transport import SharedMemoryPageTransport, load_shm_chunk
 from repro.sites.page import WebPage
 
 #: What a source yields: (global submission index, page).  Indices must
@@ -120,8 +117,8 @@ class RecordSink(Protocol):
 class IterablePageSource:
     """Number an in-memory page stream by position: ``start + offset``.
 
-    The source the engine façade uses: submission index == stream
-    position, exactly the pre-runtime engine numbering.
+    Submission index == stream position: the source for library
+    callers that hold their pages in memory.
     """
 
     def __init__(self, pages: Iterable[WebPage], start: int = 0) -> None:
@@ -379,12 +376,6 @@ class RuntimeReport:
         return "\n".join(lines)
 
 
-#: Historical name — the report predates the runtime refactor and is
-#: still what :class:`~repro.service.engine.BatchExtractionEngine`
-#: returns.
-EngineReport = RuntimeReport
-
-
 # --------------------------------------------------------------------- #
 # Extraction workers (shared by every executor kind)
 # --------------------------------------------------------------------- #
@@ -396,16 +387,12 @@ EngineReport = RuntimeReport
 
 _WORKER_REPOSITORY: Optional[RuleRepository] = None
 _WORKER_WRAPPERS: Dict[str, CompiledWrapper] = {}
-_WORKER_AUTOMATON: bool = True
 
 
-def _init_process_worker(
-    repository_data: dict, automaton: bool = True
-) -> None:
-    global _WORKER_REPOSITORY, _WORKER_WRAPPERS, _WORKER_AUTOMATON
+def _init_process_worker(repository_data: dict) -> None:
+    global _WORKER_REPOSITORY, _WORKER_WRAPPERS
     _WORKER_REPOSITORY = RuleRepository.from_dict(repository_data)
     _WORKER_WRAPPERS = {}
-    _WORKER_AUTOMATON = automaton
 
 
 def _worker_wrapper(cluster: str) -> tuple[CompiledWrapper, bool]:
@@ -420,9 +407,7 @@ def _worker_wrapper(cluster: str) -> tuple[CompiledWrapper, bool]:
     wrapper = _WORKER_WRAPPERS.get(cluster)
     warm = wrapper is not None
     if wrapper is None:
-        wrapper = _WORKER_REPOSITORY.compile_cluster(
-            cluster, automaton=_WORKER_AUTOMATON
-        )
+        wrapper = _WORKER_REPOSITORY.compile_cluster(cluster)
         _WORKER_WRAPPERS[cluster] = wrapper
     return wrapper, warm
 
@@ -588,7 +573,8 @@ class StreamingRuntime:
         workers: executor pool size (≥ 1; ignored by ``inline``).
         executor: ``"inline"`` (calling thread), ``"thread"`` (default;
             shares parsed DOMs) or ``"process"`` (re-parses in workers;
-            real parallelism on multi-core hosts).
+            real parallelism on multi-core hosts; pages travel through
+            shared memory, or pickled where it is unavailable).
         chunk_size: pages per submitted work item.
         max_pending: in-flight chunk cap (default ``4 * workers``) —
             the memory bound for arbitrarily long streams.
@@ -618,14 +604,6 @@ class StreamingRuntime:
             :data:`~repro.service.metrics.NULL_METRICS` to run
             uninstrumented).  Instrumentation never touches output
             bytes.
-        automaton: compile wrappers with the single-pass extraction
-            automaton (default); ``False`` keeps the shared-trie path
-            (the ``--no-automaton`` escape hatch).  Output bytes are
-            identical either way.
-        transport: page transport for the process executor —
-            ``"auto"`` (shared memory when available, else pickle),
-            ``"shm"`` (require shared memory) or ``"pickle"`` (force
-            the legacy inline payloads).  Ignored by other executors.
     """
 
     def __init__(
@@ -642,16 +620,9 @@ class StreamingRuntime:
         contain_errors: bool = False,
         adapter=None,
         metrics=None,
-        automaton: bool = True,
-        transport: str = "auto",
     ) -> None:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor kind {executor!r}")
-        if transport not in TRANSPORT_KINDS:
-            raise ValueError(
-                f"unknown transport {transport!r} "
-                f"(choose from {TRANSPORT_KINDS})"
-            )
         if adapter is not None:
             if router is not None:
                 raise ValueError(
@@ -677,11 +648,9 @@ class StreamingRuntime:
         self.ordered = ordered
         self.contain_errors = contain_errors
         self.adapter = adapter
-        self.automaton = automaton
-        self.transport = transport
         self.metrics = metrics if metrics is not None else default_registry()
         self._transport = (
-            SharedMemoryPageTransport(mode=transport, metrics=self.metrics)
+            SharedMemoryPageTransport(metrics=self.metrics)
             if executor == "process"
             else None
         )
@@ -707,8 +676,7 @@ class StreamingRuntime:
         # applies the resolved chains as records drain — same values
         # either way.
         self._wrappers: Dict[str, CompiledWrapper] = repository.compile_all(
-            postprocessor if executor != "process" else None,
-            automaton=automaton,
+            postprocessor if executor != "process" else None
         )
         #: Clusters whose wrapper actually drives the automaton (at
         #: least one location compiled to a slot) — the basis for the
@@ -881,7 +849,7 @@ class StreamingRuntime:
             return ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_process_worker,
-                initargs=(self.repository.to_dict(), self.automaton),
+                initargs=(self.repository.to_dict(),),
             )
         if self.executor_kind == "thread":
             return ThreadPoolExecutor(max_workers=self.workers)
@@ -890,6 +858,11 @@ class StreamingRuntime:
     def _route(
         self, page: WebPage, report: RuntimeReport
     ) -> Optional[str]:
+        if self.router is not None:
+            # Parse outside the route timer, as serve does before its
+            # run(): repro_route_seconds is signature and scoring only.
+            # Hint routing never needs the DOM, so it stays unparsed.
+            page.root_element
         started = time.perf_counter()
         try:
             if self.router is not None:

@@ -1,4 +1,4 @@
-"""Online serving: one request-processing core, three front-ends.
+"""Online serving: one request-processing core, two front-ends.
 
 ``serve`` reads ``{"url", "html"}`` JSON requests and writes one record
 line per request — a served record, an unroutable record, or an error
@@ -8,16 +8,14 @@ StreamingRuntime` (error containment on, post-processing identical to
 batch), so a page served online yields byte-for-byte the same values a
 batch run would emit:
 
-* :func:`serve_sync` (``serve --sync``) processes one line at a time —
-  simplest possible operational model;
-* :func:`serve_async` is the ``asyncio`` front-end: reads never block
+* :func:`serve_async` is the stdin front-end: reads never block
   extraction, up to ``max_inflight`` pages are processed concurrently
   on a thread pool, and an :class:`~repro.service.runtime.
   OrderedEmitter` releases output lines strictly in input order, so
-  the two front-ends are stream-equivalent.  The in-flight bound is
-  the memory bound (backpressure: the reader stops admitting lines
-  while the window is full) and also caps how far the reorder buffer
-  can grow;
+  the stream is identical to one-line-at-a-time processing.  The
+  in-flight bound is the memory bound (backpressure: the reader stops
+  admitting lines while the window is full) and also caps how far the
+  reorder buffer can grow;
 * :class:`~repro.service.http.HttpFrontEnd` (``serve --http``) exposes
   the same contract over a socket; its batch path runs the same
   :class:`AsyncLinePipeline` as :func:`serve_async`.
@@ -91,11 +89,10 @@ READER_THREADS = 2
 class ServePolicy:
     """The serving-loop robustness knobs, shared by every front-end.
 
-    Historically the sync and async loops each carried their own copy
-    of these limits and drifted; now the policy lives on the
-    :class:`ServeHandler` they all share, so the stdin loops and the
-    HTTP front-end can never disagree about when to give up on a
-    broken input stream or how many pages to hold in flight.
+    The policy lives on the :class:`ServeHandler` every front-end
+    shares, so the stdin loop and the HTTP front-end can never disagree
+    about when to give up on a broken input stream or how many pages
+    to hold in flight.
 
     Args:
         max_decode_failures: consecutive undecodable reads before the
@@ -141,8 +138,7 @@ class ServeHandler:
     Args:
         repository: the served rules.
         router: route each page by signature; mutually exclusive in
-            spirit with ``cluster`` (the router wins when both given,
-            matching the historical sync loop).
+            spirit with ``cluster`` (the router wins when both given).
         cluster: serve every page with this cluster's rules.
         postprocessor: optional value clean-up, as in batch.
         adapter: an :class:`~repro.service.adapt.AdaptiveRouter`
@@ -157,8 +153,6 @@ class ServeHandler:
             request latency/outcome series and admission counters
             (default: the process-wide registry, which is what
             ``GET /metrics`` renders).
-        automaton: compile wrappers with the single-pass extraction
-            automaton (default); ``False`` keeps the shared-trie path.
 
     Thread-safe: the wrapped inline runtime keeps no per-run state
     (and the adapter guards its own), so the async front-ends call
@@ -174,7 +168,6 @@ class ServeHandler:
         adapter=None,
         policy: Optional[ServePolicy] = None,
         metrics=None,
-        automaton: bool = True,
         artifact_version: Optional[str] = None,
     ) -> None:
         if adapter is not None and router is not None:
@@ -213,7 +206,6 @@ class ServeHandler:
             contain_errors=True,
             adapter=adapter,
             metrics=self.metrics,
-            automaton=automaton,
         )
 
     @property
@@ -225,7 +217,7 @@ class ServeHandler:
         """One request line in, one JSON response line out.
 
         Returns ``(response line, served)`` — ``served`` is True only
-        for a successfully extracted page (the sync loop's counter).
+        for a successfully extracted page (the session's counter).
         Never raises on bad input: malformed JSON, missing/mistyped
         fields and unparseable HTML come back as error records.
         """
@@ -384,80 +376,6 @@ def _metrics_of(handler):
 
 
 # --------------------------------------------------------------------- #
-# The synchronous front-end
-# --------------------------------------------------------------------- #
-
-
-def serve_sync(
-    handler: ServeHandler,
-    stdin,
-    stdout,
-    max_decode_failures: Optional[int] = None,
-    on_output_closed: Optional[Callable[[], None]] = None,
-) -> ServeStats:
-    """The one-line-at-a-time loop (``serve --sync``).
-
-    Same contract as :func:`serve_async`, minus concurrency: blank
-    lines are skipped, undecodable reads become error records (capped
-    by the handler's :class:`ServePolicy` on *consecutive* failures),
-    EOF on a final unterminated line still serves it, a consumer
-    closing the output ends the session cleanly (``on_output_closed``
-    fires once), a handler crash becomes an error record instead of
-    killing the loop, and ``KeyboardInterrupt`` flushes what was
-    written and reports itself on :attr:`ServeStats.interrupted`.
-    """
-    cap = (
-        max_decode_failures
-        if max_decode_failures is not None
-        else _policy_of(handler).max_decode_failures
-    )
-    stats = ServeStats()
-    decode_failures = 0
-
-    def _closed() -> None:
-        stats.output_closed = True
-        if on_output_closed is not None:
-            on_output_closed()
-
-    try:
-        while True:
-            try:
-                line = stdin.readline()
-            except UnicodeDecodeError as exc:
-                payload = _dumps(
-                    make_error_record(f"undecodable input: {exc}")
-                )
-                if not write_line_to(stdout, payload):
-                    _closed()
-                    break
-                decode_failures += 1
-                if decode_failures >= cap:
-                    stats.gave_up = True
-                    break
-                continue
-            decode_failures = 0  # the cap is on *consecutive* failures
-            if not line:
-                break  # EOF; a final unterminated line arrives above
-            line = line.strip()
-            if not line:
-                continue
-            payload, ok = contained_handle(handler, line)
-            if not write_line_to(stdout, payload):
-                _closed()
-                break
-            stats.served += ok
-    except BrokenPipeError:
-        # Historically the sync loop treated a broken pipe anywhere in
-        # the read/handle/write cycle as the consumer hanging up.
-        _closed()
-    except KeyboardInterrupt:
-        stats.interrupted = True
-        _flush_quietly(stdout)
-    _adopt_adapter_counts(handler, stats)
-    return stats
-
-
-# --------------------------------------------------------------------- #
 # The shared async machinery
 # --------------------------------------------------------------------- #
 
@@ -545,7 +463,7 @@ class AsyncLinePipeline:
             # worker task, where raising through would leak this slot
             # and silently deadlock admission once the window fills.
             # Park it; submit()/drain() re-raise it on the session's
-            # own stack, as loudly as the sync loop would.
+            # own stack.
             self._write_failure = exc
         finally:
             # The slot frees only now, when this sequence's output has
@@ -648,11 +566,11 @@ async def serve_async(
     or in-memory streams.  Both limits default from the handler's
     :class:`ServePolicy`.
 
-    The semantics mirror :func:`serve_sync` exactly: blank lines are
-    skipped, undecodable reads become error records (with the same
-    consecutive-failure cap), EOF on a final unterminated line still
-    serves it, and a consumer closing the output stops the session
-    cleanly (``on_output_closed`` fires once, before the stop).  On
+    Blank lines are skipped, undecodable reads become error records
+    (capped on *consecutive* failures), EOF on a final unterminated
+    line still serves it, and a consumer closing the output stops the
+    session cleanly (``on_output_closed`` fires once, before the
+    stop).  On
     cancellation or ``KeyboardInterrupt`` mid-stream the in-flight
     pages are drained, their completed contiguous prefix is flushed
     line-complete, and :attr:`ServeStats.interrupted` is set — the

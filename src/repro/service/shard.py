@@ -1,6 +1,6 @@
 """Multi-host sharded batch execution with a deterministic merge.
 
-The :class:`~repro.service.engine.BatchExtractionEngine` stamps every
+The :class:`~repro.service.runtime.StreamingRuntime` stamps every
 record with its **global submission index** (stream position) and, in
 ``ordered`` mode, emits records in index order.  That makes scaling a
 batch run over many hosts a three-step protocol with *no coordinator
@@ -52,8 +52,8 @@ from repro.extraction.postprocess import PostProcessor
 from repro.extraction.xml_writer import page_element_name
 from repro.service.router import ClusterRouter
 from repro.service.runtime import (
-    EngineReport,
     LoadingPageSource,
+    RuntimeReport,
     StreamingRuntime,
 )
 from repro.service.sink import JsonlSink, XmlDirectorySink
@@ -410,9 +410,9 @@ class ShardWorker:
     :class:`~repro.service.runtime.LoadingPageSource` over the plan
     slice) so a worker holds only its in-flight window in memory,
     exactly like ``batch``.  Runtime parameters mirror
-    :class:`~repro.service.engine.BatchExtractionEngine`; every worker
-    of a run should use identical ones (and an identically fitted
-    router) so the shard outputs partition the unsharded output.
+    :class:`~repro.service.runtime.StreamingRuntime`; every worker of a
+    run should use identical ones (and an identically fitted router) so
+    the shard outputs partition the unsharded output.
     """
 
     def __init__(
@@ -428,8 +428,6 @@ class ShardWorker:
         skip_unreadable: bool = False,
         adapter=None,
         metrics=None,
-        automaton: bool = True,
-        transport: str = "auto",
     ) -> None:
         if not 0 <= shard < plan.shards:
             raise ShardPlanError(
@@ -453,8 +451,6 @@ class ShardWorker:
             ordered=True,
             adapter=adapter,
             metrics=metrics,
-            automaton=automaton,
-            transport=transport,
         )
 
     def run(
@@ -465,7 +461,7 @@ class ShardWorker:
         artifact_version: Optional[str] = None,
         cancel=None,
         on_progress=None,
-    ) -> tuple[ShardManifest, EngineReport]:
+    ) -> tuple[ShardManifest, RuntimeReport]:
         """Extract this shard; write output + manifest into ``output_dir``.
 
         ``output_format="jsonl"`` writes one ``shard-NNNN.jsonl`` file;

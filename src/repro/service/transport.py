@@ -22,14 +22,11 @@ Lifecycle — the part that must never leak:
   (:func:`attach_segment`) — the parent is the single owner, so the
   tracker must not try to "clean up" a segment the parent will unlink.
 
-Fallback matrix: ``mode="auto"`` probes once and degrades to inline
-pickling when shared memory is unavailable (platform without
-``/dev/shm``, permissions, exhausted segment space) — and keeps
-degrading per-chunk if creation starts failing mid-run;
-``mode="pickle"`` forces the legacy path (A/B benchmarking);
-``mode="shm"`` demands shared memory and raises loudly when it cannot
-be had.  Either way the worker sees the same pages, so extraction
-output is byte-identical across transports.
+Fallback: the transport probes once and degrades to inline pickling
+when shared memory is unavailable (platform without ``/dev/shm``,
+permissions, exhausted segment space) — and stays degraded if segment
+creation starts failing mid-run.  Either way the worker sees the same
+pages, so extraction output is byte-identical across both paths.
 """
 
 from __future__ import annotations
@@ -52,13 +49,9 @@ __all__ = [
     "SEGMENT_PREFIX",
     "StagedChunk",
     "SharedMemoryPageTransport",
-    "TRANSPORT_KINDS",
     "attach_segment",
     "load_shm_chunk",
 ]
-
-#: Accepted ``transport=`` values on the runtime and CLI surface.
-TRANSPORT_KINDS = ("auto", "shm", "pickle")
 
 #: Segment name prefix: lets the CI leak check (and operators) spot
 #: stray ``/dev/shm`` entries that belong to this service.
@@ -130,27 +123,17 @@ def load_shm_chunk(
 
 
 class SharedMemoryPageTransport:
-    """Parent-side segment staging with leased, ref-counted cleanup.
+    """Parent-side segment staging with leased cleanup.
 
     Args:
-        mode: ``"auto"`` (shared memory when available, pickle
-            otherwise), ``"shm"`` (required — raises when unavailable)
-            or ``"pickle"`` (force the legacy inline payloads).
         metrics: registry for the transport counters and the active
             segment gauge (default: the process-wide registry).
     """
 
-    def __init__(self, mode: str = "auto", metrics=None) -> None:
-        if mode not in TRANSPORT_KINDS:
-            raise ValueError(
-                f"unknown transport {mode!r} (choose from {TRANSPORT_KINDS})"
-            )
-        self.mode = mode
+    def __init__(self, metrics=None) -> None:
         self._available: Optional[bool] = None
-        #: name -> [segment, lease count]; leases are currently one per
-        #: staged chunk, but release() is written against the count so
-        #: a future multi-chunk segment changes nothing here.  Guarded
-        #: by ``_lock``: release() runs from executor callback threads
+        #: name -> segment, one lease per staged chunk.  Guarded by
+        #: ``_lock``: release() runs from executor callback threads
         #: while close_all() runs from the draining thread, and both
         #: must agree on who unlinks each segment exactly once.
         self._segments: dict = {}
@@ -160,18 +143,12 @@ class SharedMemoryPageTransport:
         self._m_chunks = metrics.from_spec("repro_transport_chunks_total")
         self._m_bytes = metrics.from_spec("repro_transport_bytes_total")
         self._m_active = metrics.from_spec("repro_shm_segments_active")
-        if mode == "shm" and not self.available:
-            raise ValueError(
-                "transport 'shm' requested but shared memory is unavailable"
-            )
 
     # -- capability ----------------------------------------------------- #
 
     @property
     def available(self) -> bool:
         """Whether shared-memory staging is usable (probed once)."""
-        if self.mode == "pickle":
-            return False
         if self._available is None:
             self._available = self._probe()
         return self._available
@@ -196,9 +173,9 @@ class SharedMemoryPageTransport:
         """Prepare one chunk for submission to a process pool.
 
         Returns a shared-memory staged chunk when possible, otherwise
-        the legacy pickled payload (``segment=None``).  Shared-memory
-        failures mid-run degrade to pickling in ``auto`` mode and
-        raise in ``shm`` mode.
+        the pickled payload (``segment=None``).  A shared-memory
+        failure mid-run degrades this and every later chunk to
+        pickling.
         """
         if not self.available:
             return self._stage_pickle(chunk)
@@ -220,8 +197,6 @@ class SharedMemoryPageTransport:
                 name=name, create=True, size=offset
             )
         except (OSError, ValueError):
-            if self.mode == "shm":
-                raise
             self._available = False
             return self._stage_pickle(chunk)
         position = 0
@@ -231,7 +206,7 @@ class SharedMemoryPageTransport:
             position += len(data)
         del buf
         with self._lock:
-            self._segments[name] = [segment, 1]
+            self._segments[name] = segment
         self._m_active.inc()
         self._m_chunks.labels("shm").inc()
         self._m_bytes.labels("shm").inc(offset)
@@ -254,27 +229,21 @@ class SharedMemoryPageTransport:
 
     @property
     def active(self) -> int:
-        """Segments currently staged and not yet fully released."""
+        """Segments currently staged and not yet released."""
         return len(self._segments)
 
     def release(self, name: str) -> None:
-        """Drop one lease; unlink the segment when none remain.
+        """Drop a chunk's lease: close and unlink its segment.
 
-        Idempotent per segment once fully released — the runtime's
-        per-future release and the ``finally`` sweep may both run,
-        possibly from different threads.  The dict mutation happens
-        under the lock, so exactly one caller wins the removal and
-        performs the single close/unlink.
+        Idempotent — the runtime's per-future release and the
+        ``finally`` sweep may both run, possibly from different
+        threads.  The dict removal happens under the lock, so exactly
+        one caller wins it and performs the single close/unlink.
         """
         with self._lock:
-            entry = self._segments.get(name)
-            if entry is None:
-                return
-            entry[1] -= 1
-            if entry[1] > 0:
-                return
-            del self._segments[name]
-        self._destroy(entry[0])
+            segment = self._segments.pop(name, None)
+        if segment is not None:
+            self._destroy(segment)
 
     def close_all(self) -> None:
         """Release every outstanding segment (the error-path sweep).
@@ -287,9 +256,8 @@ class SharedMemoryPageTransport:
             with self._lock:
                 if not self._segments:
                     return
-                name = next(iter(self._segments))
-                entry = self._segments.pop(name)
-            self._destroy(entry[0])
+                segment = self._segments.pop(next(iter(self._segments)))
+            self._destroy(segment)
 
     def _destroy(self, segment) -> None:
         segment.close()

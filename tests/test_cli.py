@@ -439,7 +439,7 @@ def test_serve_interrupt_exits_130_and_closes_adaptation_log(
 
     monkeypatch.setattr("sys.stdin", InterruptingStdin())
     assert main([
-        "serve", "--sync", "--repository", str(repo_path),
+        "serve", "--repository", str(repo_path),
         "--exemplars-dir", str(site_dir), "--adapt",
         "--adapt-log", str(log_path),
     ]) == 130
@@ -451,15 +451,6 @@ def test_serve_interrupt_exits_130_and_closes_adaptation_log(
         json.loads(line)  # every emitted record is line-complete
     for line in log_path.read_text(encoding="utf-8").splitlines():
         json.loads(line)
-
-
-def test_serve_http_and_sync_are_mutually_exclusive(served_site, capsys):
-    _, repo_path = served_site
-    assert main([
-        "serve", "--repository", str(repo_path),
-        "--cluster", "imdb-movies", "--sync", "--http", "127.0.0.1:0",
-    ]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
 
 
 def test_parse_http_address_spellings():
@@ -723,7 +714,7 @@ def test_shard_merge_incomplete_set_fails(served_site, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# serve --sync: the historical one-line-at-a-time loop
+# serve --max-inflight 1: one line read, extracted and written at a time
 # --------------------------------------------------------------------- #
 
 
@@ -740,7 +731,7 @@ def test_serve_sync_loop_matches_async_records(served_site, capsys,
     )
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main([
-        "serve", "--sync", "--repository", str(repo_path),
+        "serve", "--max-inflight", "1", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 0
     captured = capsys.readouterr()
@@ -776,7 +767,7 @@ def test_serve_sync_handles_bad_input_and_decode_errors(served_site, capsys,
         good + "\n",
     ]))
     assert main([
-        "serve", "--sync", "--repository", str(repo_path),
+        "serve", "--max-inflight", "1", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -797,7 +788,7 @@ def test_serve_sync_persistent_decode_failure_gives_up(served_site, capsys,
     monkeypatch.setattr("sys.stdin", BrokenStdin())
     monkeypatch.setattr("repro.cli.SERVE_MAX_DECODE_FAILURES", 2)
     assert main([
-        "serve", "--sync", "--repository", str(repo_path),
+        "serve", "--max-inflight", "1", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 1
     captured = capsys.readouterr()
@@ -819,7 +810,7 @@ def test_serve_sync_consumer_closing_output_is_clean(served_site, capsys,
     monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
     monkeypatch.setattr("sys.stdout", ClosedPipe())
     assert main([
-        "serve", "--sync", "--repository", str(repo_path),
+        "serve", "--max-inflight", "1", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 0
     err = capsys.readouterr().err
@@ -1051,7 +1042,7 @@ def test_serve_adapt_sync_loop_reports_drift(served_site, capsys,
     monkeypatch.setattr("sys.stdin", io.StringIO(_serve_requests(site_dir)))
     assert main([
         "serve", "--repository", str(repo_path),
-        "--exemplars-dir", str(site_dir), "--adapt", "--sync",
+        "--exemplars-dir", str(site_dir), "--adapt", "--max-inflight", "1",
     ]) == 0
     assert "drift: 0 event(s), 0 refit(s)" in capsys.readouterr().err
 

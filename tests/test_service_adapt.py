@@ -528,7 +528,7 @@ class TestAdaptiveRouter:
 
 
 class TestEntryPointWiring:
-    """Adapter plumbing through runtime, engine and serve handler."""
+    """Adapter plumbing through the runtime and the serve handler."""
 
     def _router_and_pages(self, service_site):
         exemplars = {
@@ -565,15 +565,18 @@ class TestEntryPointWiring:
     def test_engine_passthrough_reports_drift_counts(
         self, service_site, service_repository
     ):
-        from repro.service.engine import BatchExtractionEngine
+        from repro.service.runtime import (
+            IterablePageSource,
+            StreamingRuntime,
+        )
 
         router, pages = self._router_and_pages(service_site)
         adapter = make_adapter(router)
-        engine = BatchExtractionEngine(
+        runtime = StreamingRuntime(
             service_repository, adapter=adapter, workers=2, chunk_size=8,
         )
-        assert engine.router is adapter
-        report, records = engine.run_collect(pages)
+        assert runtime.router is adapter
+        report, records = runtime.run_collect(IterablePageSource(pages))
         assert len(records) == len(pages)
         assert report.drift_events == 0
         assert report.refits == 0

@@ -1,4 +1,4 @@
-"""Single-pass automaton: byte-identical to the trie and the processor."""
+"""Single-pass automaton: byte-identical to the sequential processor."""
 
 import io
 import json
@@ -203,12 +203,8 @@ class TestByteIdentitySweep:
         assert report.failed_components == []
         stream = pages + MALFORMED
         sequential = ExtractionProcessor(repository, cluster).extract(stream)
-        with_automaton = repository.compile_cluster(cluster).extract(stream)
-        trie_only = repository.compile_cluster(
-            cluster, automaton=False
-        ).extract(stream)
-        assert _outcome(with_automaton) == _outcome(sequential)
-        assert _outcome(trie_only) == _outcome(sequential)
+        compiled = repository.compile_cluster(cluster).extract(stream)
+        assert _outcome(compiled) == _outcome(sequential)
 
 
 class TestCompilerStats:
@@ -220,14 +216,6 @@ class TestCompilerStats:
         assert stats.automaton_states > 0
         assert stats.automaton_transitions < stats.automaton_location_steps
         assert stats.automaton_steps_saved > 0
-
-    def test_disabled_automaton_zeroes_the_stats(self, service_repository):
-        wrapper = service_repository.compile_cluster(
-            "imdb-movies", automaton=False
-        )
-        assert wrapper.automaton is None
-        assert wrapper.stats.automaton_slots == 0
-        assert wrapper.stats.automaton_steps_saved == 0
 
     def test_as_dict_round_trips_every_field(self, service_repository):
         payload = service_repository.compile_cluster(
@@ -278,26 +266,3 @@ class TestProgressAndCli:
         stats = payload["compiler_stats"]
         assert set(stats) == {"imdb-movies", "imdb-actors"}
         assert stats["imdb-movies"]["automaton_slots"] >= 3
-
-    def test_no_automaton_cli_output_identical(self, service_repository,
-                                               service_site, tmp_path):
-        from repro.cli import main
-
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for i, page in enumerate(
-            service_site.pages_with_hint("imdb-movies")[:12]
-        ):
-            (corpus / f"imdb-movies-{i:03d}.html").write_text(
-                page.html, encoding="utf-8"
-            )
-        rules = tmp_path / "rules.json"
-        service_repository.save(rules)
-        fast = tmp_path / "fast.jsonl"
-        slow = tmp_path / "slow.jsonl"
-        assert main(["batch", str(corpus), "--repository", str(rules),
-                     "--route", "hint", "--jsonl", str(fast)]) == 0
-        assert main(["batch", str(corpus), "--repository", str(rules),
-                     "--route", "hint", "--jsonl", str(slow),
-                     "--no-automaton"]) == 0
-        assert fast.read_bytes() == slow.read_bytes()

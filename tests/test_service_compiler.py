@@ -43,13 +43,35 @@ class TestCompilation:
         assert set(wrappers) == {"imdb-movies", "imdb-actors"}
 
     def test_prefix_factoring_shares_steps(self, service_repository):
-        wrapper = service_repository.compile_cluster("imdb-movies")
+        # imdb's primaries all ride the automaton: its trie stays empty.
+        imdb = service_repository.compile_cluster("imdb-movies").stats
+        assert imdb.automaton_slots == 3
+        assert (imdb.trie_rules, imdb.primary_steps, imdb.trie_nodes) == (
+            0, 0, 0,
+        )
+        # Primaries the automaton cannot take (descendant axes) share
+        # their BODY[1]/DIV[2] prefix in the residual trie: it must
+        # hold strictly fewer nodes than the flat step count.
+        repository = _repo(
+            ("a", ["BODY[1]/DIV[2]/descendant::P[1]/text()[1]"]),
+            ("b", ["BODY[1]/DIV[2]/descendant::SPAN[1]/text()[1]"]),
+        )
+        wrapper = repository.compile_cluster("c")
         stats = wrapper.stats
-        # title/rating/genres all live under BODY[1]/DIV[2]: the trie
-        # must hold strictly fewer nodes than the flat step count.
-        assert stats.trie_rules == 3
+        assert stats.automaton_slots == 0
+        assert stats.trie_rules == 2
         assert stats.trie_nodes < stats.primary_steps
-        assert stats.steps_shared > 0
+        assert stats.steps_shared == 2
+        page = WebPage(url="http://x/", html=(
+            "<body><div></div><div><p>one</p><b><span>two</span></b>"
+            "</div></body>"
+        ))
+        processor = ExtractionProcessor(repository, "c")
+        assert wrapper.extract_page(page).values == {
+            "a": ["one"], "b": ["two"],
+        }
+        assert (wrapper.extract_page(page).raw_values
+                == processor.extract_page(page).raw_values)
 
     def test_disjoint_prefixes_do_not_share(self):
         repository = _repo(

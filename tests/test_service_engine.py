@@ -1,11 +1,18 @@
-"""The parallel batch engine: identity, routing, stats, executors."""
+"""The batch pipeline: a runtime over an in-memory page stream.
+
+Identity with the sequential processor, routing, stats, executors.
+"""
 
 import pytest
 
 from repro.extraction.extractor import ExtractionProcessor
 from repro.extraction.postprocess import PostProcessor, regex_extractor
-from repro.service.engine import BatchExtractionEngine
 from repro.service.router import ClusterRouter
+from repro.service.runtime import (
+    IterablePageSource,
+    RuntimeReport,
+    StreamingRuntime,
+)
 from repro.sites.page import WebPage
 
 
@@ -21,16 +28,20 @@ def _sequential_values(repository, cluster, page):
     return ExtractionProcessor(repository, cluster).extract_page(page).values
 
 
+def _run_collect(repository, pages, **runtime_kwargs):
+    runtime = StreamingRuntime(repository, **runtime_kwargs)
+    return runtime.run_collect(IterablePageSource(pages))
+
+
 class TestAcceptance:
     """ISSUE acceptance: ≥500-page multi-cluster run, byte-identical."""
 
     @pytest.fixture(scope="class")
     def run(self, service_site, service_repository, router):
-        engine = BatchExtractionEngine(
-            service_repository, router=router, workers=2, chunk_size=32
+        return _run_collect(
+            service_repository, list(service_site), router=router,
+            workers=2, chunk_size=32,
         )
-        report, records = engine.run_collect(list(service_site))
-        return report, records
 
     def test_site_is_large_and_multi_cluster(self, service_site):
         assert len(service_site) >= 500
@@ -84,16 +95,14 @@ class TestEngineBehaviour:
     def test_hint_routing_without_router(self, service_site,
                                          service_repository):
         movies = service_site.pages_with_hint("imdb-movies")[:20]
-        engine = BatchExtractionEngine(service_repository, workers=2)
-        report, records = engine.run_collect(movies)
+        report, records = _run_collect(service_repository, movies, workers=2)
         assert report.routed == {"imdb-movies": 20}
         assert len(records) == 20
 
     def test_hintless_page_unroutable_without_router(self,
                                                      service_repository):
         page = WebPage(url="http://x/", html="<body><p>x</p></body>")
-        engine = BatchExtractionEngine(service_repository, workers=1)
-        report, records = engine.run_collect([page])
+        report, records = _run_collect(service_repository, [page], workers=1)
         assert report.unroutable == ["http://x/"]
         assert report.unroutable_count == 1
         assert records == []
@@ -101,17 +110,15 @@ class TestEngineBehaviour:
     def test_order_is_deterministic_per_cluster(self, service_site,
                                                 service_repository):
         movies = service_site.pages_with_hint("imdb-movies")[:50]
-        engine = BatchExtractionEngine(
-            service_repository, workers=4, chunk_size=7
+        _, records = _run_collect(
+            service_repository, movies, workers=4, chunk_size=7,
         )
-        _, records = engine.run_collect(movies)
         assert [r.url for r in records] == [p.url for p in movies]
 
     def test_failures_surface_in_records(self, service_repository):
         broken = WebPage(url="http://broken/", cluster_hint="imdb-movies",
                          html="<body><p>nothing here</p></body>")
-        engine = BatchExtractionEngine(service_repository, workers=1)
-        report, records = engine.run_collect([broken])
+        report, records = _run_collect(service_repository, [broken], workers=1)
         (record,) = records
         assert ("title", "mandatory-missing") in record.failures
         assert report.per_cluster["imdb-movies"].failures >= 1
@@ -121,10 +128,9 @@ class TestEngineBehaviour:
         post = PostProcessor()
         post.register("rating", regex_extractor(r"([\d.]+)/10"))
         movies = service_site.pages_with_hint("imdb-movies")[:15]
-        engine = BatchExtractionEngine(
-            service_repository, postprocessor=post, workers=2
+        _, records = _run_collect(
+            service_repository, movies, postprocessor=post, workers=2,
         )
-        _, records = engine.run_collect(movies)
         processor = ExtractionProcessor(
             service_repository, "imdb-movies", postprocessor=post
         )
@@ -136,24 +142,22 @@ class TestEngineBehaviour:
 
     def test_invalid_configuration_rejected(self, service_repository):
         with pytest.raises(ValueError):
-            BatchExtractionEngine(service_repository, executor="fiber")
+            StreamingRuntime(service_repository, executor="fiber")
         with pytest.raises(ValueError):
-            BatchExtractionEngine(service_repository, workers=0)
+            StreamingRuntime(service_repository, workers=0)
         with pytest.raises(ValueError):
-            BatchExtractionEngine(service_repository, chunk_size=0)
+            StreamingRuntime(service_repository, chunk_size=0)
         with pytest.raises(ValueError):
-            BatchExtractionEngine(service_repository, max_pending=0)
+            StreamingRuntime(service_repository, max_pending=0)
         with pytest.raises(ValueError):
-            BatchExtractionEngine(service_repository, max_pending=-1)
+            StreamingRuntime(service_repository, max_pending=-1)
 
     def test_rejected_url_samples_are_bounded(self, monkeypatch):
         # The report lives in the runtime module now; patch the cap
         # where the note_* methods resolve it.
         import repro.service.runtime as runtime_module
-        from repro.service.engine import EngineReport
-
         monkeypatch.setattr(runtime_module, "URL_SAMPLE_CAP", 3)
-        report = EngineReport()
+        report = RuntimeReport()
         for index in range(10):
             report.note_unroutable(f"http://x/{index}")
             report.note_skipped(f"http://y/{index}")
@@ -167,10 +171,10 @@ class TestProcessExecutor:
     def test_process_pool_matches_sequential(self, service_site,
                                              service_repository):
         movies = service_site.pages_with_hint("imdb-movies")[:24]
-        engine = BatchExtractionEngine(
-            service_repository, workers=2, executor="process", chunk_size=8
+        _, records = _run_collect(
+            service_repository, movies, workers=2, executor="process",
+            chunk_size=8,
         )
-        _, records = engine.run_collect(movies)
         assert len(records) == 24
         pages = {page.url: page for page in movies}
         processor = ExtractionProcessor(service_repository, "imdb-movies")
@@ -185,11 +189,10 @@ class TestProcessExecutor:
         post = PostProcessor()
         post.register("rating", regex_extractor(r"([\d.]+)/10"))
         movies = service_site.pages_with_hint("imdb-movies")[:8]
-        engine = BatchExtractionEngine(
-            service_repository, postprocessor=post,
-            workers=2, executor="process", chunk_size=4,
+        _, records = _run_collect(
+            service_repository, movies, postprocessor=post, workers=2,
+            executor="process", chunk_size=4,
         )
-        _, records = engine.run_collect(movies)
         for record in records:
             for value in record.values["rating"]:
                 assert "/10" not in value

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.service.http import HttpFrontEnd
-from repro.service.serve import ServeHandler, ServePolicy, serve_sync
+from repro.service.serve import ServeHandler, ServePolicy, serve_async
 from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.service.sink import JsonlSink
 
@@ -20,6 +20,16 @@ def handler(service_repository):
 
 def _line(page) -> str:
     return json.dumps({"url": page.url, "html": page.html})
+
+
+def _sync_stdin_loop_output(handler, lines: list[str]) -> str:
+    """What the stdin front-end writes, one page in flight at a time."""
+    stdout = io.StringIO()
+    asyncio.run(serve_async(
+        handler, io.StringIO("".join(line + "\n" for line in lines)), stdout,
+        max_inflight=1,
+    ))
+    return stdout.getvalue()
 
 
 # --------------------------------------------------------------------- #
@@ -114,8 +124,7 @@ class TestByteIdentity:
         self, handler, service_site
     ):
         page = service_site.pages_with_hint("imdb-movies")[0]
-        stdout = io.StringIO()
-        serve_sync(handler, io.StringIO(_line(page) + "\n"), stdout)
+        expected = _sync_stdin_loop_output(handler, [_line(page)])
 
         async def scenario(front):
             return await _roundtrip(
@@ -124,7 +133,7 @@ class TestByteIdentity:
 
         (status, headers, body), front = _with_front_end(handler, scenario)
         assert status == 200
-        assert body == stdout.getvalue().encode("utf-8")
+        assert body == expected.encode("utf-8")
         assert front.stats.served == 1
         record = json.loads(body)
         assert record["cluster"] == "imdb-movies"
@@ -137,14 +146,10 @@ class TestByteIdentity:
         lines = [_line(page) for page in pages]
         lines.insert(5, "{not json")  # an error record mid-stream
         lines.insert(8, "   ")       # blank lines are skipped, as on stdin
-        stdout = io.StringIO()
-        serve_sync(
-            handler,
-            io.StringIO("".join(line + "\n" for line in lines)),
-            stdout,
-        )
         out_lines = http_batch_lines(handler, lines)
-        assert out_lines == stdout.getvalue().splitlines()
+        assert out_lines == _sync_stdin_loop_output(
+            handler, lines
+        ).splitlines()
         assert len(out_lines) == 13  # 12 pages + 1 error, no blank slot
         assert "error" in json.loads(out_lines[5])
 

@@ -3,6 +3,7 @@
 import io
 import json
 import signal
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.service.metrics import (
     METRIC_SPECS,
     NULL_METRICS,
     CancellationToken,
+    MetricFamily,
     MetricsRegistry,
     ProgressEmitter,
     default_registry,
@@ -286,6 +288,100 @@ class TestRuntimeInstrumentation:
         parsed = parse_exposition(registry.render())
         skipped = _values(parsed, "repro_pages_skipped_total")
         assert skipped["repro_pages_skipped_total"] == 1
+
+
+class TestRouteSecondsExcludeParse:
+    """``repro_route_seconds`` is signature and scoring in every path."""
+
+    PARSE_DELAY = 0.02
+
+    @pytest.fixture(scope="class")
+    def router(self, service_site):
+        from repro.service.router import ClusterRouter
+
+        return ClusterRouter.fit({
+            hint: service_site.pages_with_hint(hint)[:8]
+            for hint in ("imdb-movies", "imdb-actors")
+        })
+
+    @pytest.fixture()
+    def fresh_pages(self, service_site):
+        # Unparsed copies: the site's own pages carry cached DOMs.
+        return [
+            WebPage(url=page.url, html=page.html, cluster_hint=hint)
+            for hint in ("imdb-movies", "imdb-actors")
+            for page in service_site.pages_with_hint(hint)[:4]
+        ]
+
+    @pytest.fixture()
+    def slow_parses(self, monkeypatch):
+        """Slow every parse by PARSE_DELAY; record the route timings."""
+        import repro.sites.page as page_module
+
+        parse_html = page_module.parse_html
+        parses: list = []
+
+        def slow_parse(*args, **kwargs):
+            parses.append(1)
+            time.sleep(self.PARSE_DELAY)
+            return parse_html(*args, **kwargs)
+
+        observed: list = []
+        observe = MetricFamily.observe
+
+        def recording_observe(family, value):
+            if family.spec.name == "repro_route_seconds":
+                observed.append(value)
+            observe(family, value)
+
+        monkeypatch.setattr(page_module, "parse_html", slow_parse)
+        monkeypatch.setattr(MetricFamily, "observe", recording_observe)
+        return parses, observed
+
+    def test_inline_runtime_with_router(self, service_repository, router,
+                                        fresh_pages, slow_parses):
+        parses, observed = slow_parses
+        runtime = StreamingRuntime(
+            service_repository, router=router, executor="inline",
+            metrics=MetricsRegistry(),
+        )
+        report = runtime.run(IterablePageSource(fresh_pages))
+        assert report.pages_served == len(fresh_pages)
+        assert len(parses) == len(fresh_pages)
+        assert len(observed) == len(fresh_pages)
+        assert max(observed) < self.PARSE_DELAY
+
+    def test_serve_handler(self, service_repository, router, fresh_pages,
+                           slow_parses):
+        from repro.service.serve import ServeHandler
+
+        parses, observed = slow_parses
+        handler = ServeHandler(
+            service_repository, router=router, metrics=MetricsRegistry()
+        )
+        for page in fresh_pages:
+            _, served = handler.handle_line(
+                json.dumps({"url": page.url, "html": page.html})
+            )
+            assert served
+        assert len(parses) == len(fresh_pages)
+        assert len(observed) == len(fresh_pages)
+        assert max(observed) < self.PARSE_DELAY
+
+    def test_hint_routing_never_parses_in_the_parent(
+        self, service_repository, fresh_pages, slow_parses
+    ):
+        # Process workers parse what they are sent; routing by hint
+        # needs no DOM, so the parent must not parse at all.
+        parses, observed = slow_parses
+        runtime = StreamingRuntime(
+            service_repository, workers=2, executor="process",
+            chunk_size=4, metrics=MetricsRegistry(),
+        )
+        report = runtime.run(IterablePageSource(fresh_pages))
+        assert report.pages_served == len(fresh_pages)
+        assert parses == []
+        assert len(observed) == len(fresh_pages)
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Online serving: the shared handler and the three front-ends."""
+"""Online serving: the shared handler and its two front-ends."""
 
 import asyncio
 import io
@@ -11,12 +11,7 @@ import pytest
 from repro.extraction.extractor import ExtractionProcessor
 from repro.service.compiler import CompiledWrapper
 from repro.service.router import ClusterRouter
-from repro.service.serve import (
-    ServeHandler,
-    ServePolicy,
-    serve_async,
-    serve_sync,
-)
+from repro.service.serve import ServeHandler, ServePolicy, serve_async
 
 
 @pytest.fixture(scope="module")
@@ -329,11 +324,24 @@ class TestAsyncServe:
 
 
 # --------------------------------------------------------------------- #
-# The sync loop (same core, no concurrency)
+# One page in flight: read, extract, write, then read again
 # --------------------------------------------------------------------- #
+
+#: The stdin loop's in-flight windows under test: ``sync`` serves one
+#: page at a time, ``async`` uses the policy's default window.
+STDIN_WINDOWS = {"sync": 1, "async": None}
+
+
+def _serve_one_at_a_time(handler, stdin, stdout, **kwargs):
+    """Run the stdin loop with a single page in flight."""
+    return asyncio.run(serve_async(
+        handler, stdin, stdout, max_inflight=1, **kwargs
+    ))
 
 
 class TestServeSyncLoop:
+    """The stdin loop at ``max_inflight=1``: strictly sequential serving."""
+
     def test_stream_identical_to_async_front_end(
         self, handler, service_site
     ):
@@ -342,7 +350,8 @@ class TestServeSyncLoop:
         lines.insert(4, "{not json")
         text = "".join(line + "\n" for line in lines)
         sync_out = io.StringIO()
-        sync_stats = serve_sync(handler, io.StringIO(text), sync_out)
+        sync_stats = _serve_one_at_a_time(handler, io.StringIO(text),
+                                          sync_out)
         async_out = io.StringIO()
         async_stats = asyncio.run(serve_async(
             handler, io.StringIO(text), async_out
@@ -351,9 +360,8 @@ class TestServeSyncLoop:
         assert sync_stats.served == async_stats.served == 10
 
     def test_handler_crash_becomes_an_error_record(self):
-        # Parity with the async loop: a crash that escapes containment
-        # must not kill the session (pre-fix it propagated and took
-        # the whole serve process down mid-stream).
+        # A crash that escapes containment must not kill the session,
+        # even with no other page in flight to keep the stream moving.
         class ExplodingHandler:
             def handle_line(self, line):
                 if line == "page-1":
@@ -362,7 +370,9 @@ class TestServeSyncLoop:
 
         text = "".join(f"page-{i}\n" for i in range(4))
         stdout = io.StringIO()
-        stats = serve_sync(ExplodingHandler(), io.StringIO(text), stdout)
+        stats = _serve_one_at_a_time(
+            ExplodingHandler(), io.StringIO(text), stdout
+        )
         lines = stdout.getvalue().splitlines()
         assert len(lines) == 4
         assert "pathological page" in json.loads(lines[1])["error"]
@@ -380,10 +390,10 @@ class TestServeSyncLoop:
             policy=ServePolicy(max_decode_failures=3),
         )
         stdout = io.StringIO()
-        stats = serve_sync(capped, BrokenStdin(), stdout)
+        stats = _serve_one_at_a_time(capped, BrokenStdin(), stdout)
         assert stats.gave_up
         assert stdout.getvalue().count("undecodable input") == 3
-        # The same policy object drives the async loop to the same end.
+        # The same policy object drives the default window to the same end.
         async_out = io.StringIO()
         async_stats = asyncio.run(
             serve_async(capped, BrokenStdin(), async_out)
@@ -393,20 +403,27 @@ class TestServeSyncLoop:
 
     def test_blank_lines_and_final_unterminated_line(self, handler):
         stdout = io.StringIO()
-        stats = serve_sync(handler, io.StringIO("\n   \n{truncated"),
-                           stdout)
+        stats = _serve_one_at_a_time(
+            handler, io.StringIO("\n   \n{truncated"), stdout
+        )
         (line,) = stdout.getvalue().strip().splitlines()
         assert "error" in json.loads(line)
         assert stats.served == 0
 
-    def test_explicit_cap_argument_overrides_the_policy(self, handler):
+    def test_explicit_cap_argument_overrides_the_policy(
+        self, service_repository
+    ):
         class BrokenStdin:
             def readline(self):
                 raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad")
 
+        lenient = ServeHandler(
+            service_repository, cluster="imdb-movies",
+            policy=ServePolicy(max_decode_failures=5),
+        )
         stdout = io.StringIO()
-        stats = serve_sync(
-            handler, BrokenStdin(), stdout, max_decode_failures=2
+        stats = _serve_one_at_a_time(
+            lenient, BrokenStdin(), stdout, max_decode_failures=2
         )
         assert stats.gave_up
         assert stdout.getvalue().count("undecodable input") == 2
@@ -422,21 +439,9 @@ class TestServeSyncLoop:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        stats = serve_sync(handler, BrokenStdin(), ClosedPipe())
+        stats = _serve_one_at_a_time(handler, BrokenStdin(), ClosedPipe())
         assert stats.output_closed
         assert not stats.gave_up
-
-    def test_broken_pipe_from_the_read_side_ends_the_session(
-        self, handler
-    ):
-        # Historical sync-loop behaviour: a BrokenPipeError raised
-        # anywhere in the cycle means the pipeline died around us.
-        class DeadStdin:
-            def readline(self):
-                raise BrokenPipeError(32, "Broken pipe")
-
-        stats = serve_sync(handler, DeadStdin(), io.StringIO())
-        assert stats.output_closed
 
     @pytest.mark.parametrize("front_end", ("sync", "async"))
     def test_unencodable_output_fails_loudly_not_as_output_closed(
@@ -444,9 +449,9 @@ class TestServeSyncLoop:
     ):
         # UnicodeEncodeError is a ValueError subclass; treating it as
         # "consumer closed the output" would silently drop every
-        # remaining page behind a clean exit.  The async loop must
-        # surface it too (on the session's stack, not a worker's) —
-        # and must not leak the in-flight slot and deadlock admission.
+        # remaining page behind a clean exit.  The loop must surface it
+        # on the session's stack, not a worker's — and must not leak
+        # the in-flight slot and deadlock admission.
         class NarrowStdout(io.StringIO):
             def write(self, text):
                 raise UnicodeEncodeError(
@@ -455,19 +460,17 @@ class TestServeSyncLoop:
 
         pages = service_site.pages_with_hint("imdb-movies")[:12]
         text = "".join(_line(page) + "\n" for page in pages)
-        with pytest.raises(UnicodeEncodeError):
-            if front_end == "sync":
-                serve_sync(handler, io.StringIO(text), NarrowStdout())
-            else:
-                async def _main():
-                    # The timeout is the deadlock regression check: a
-                    # leaked slot would hang admission forever.
-                    await asyncio.wait_for(serve_async(
-                        handler, io.StringIO(text), NarrowStdout(),
-                        max_inflight=4,
-                    ), timeout=30)
 
-                asyncio.run(_main())
+        async def _main():
+            # The timeout is the deadlock regression check: a leaked
+            # slot would hang admission forever.
+            await asyncio.wait_for(serve_async(
+                handler, io.StringIO(text), NarrowStdout(),
+                max_inflight=1 if front_end == "sync" else 4,
+            ), timeout=30)
+
+        with pytest.raises(UnicodeEncodeError):
+            asyncio.run(_main())
 
 
 # --------------------------------------------------------------------- #
@@ -478,13 +481,12 @@ class TestServeSyncLoop:
 def _drive_front_end(front_end: str, handler, lines: list[str]):
     """Feed the same request lines to any front-end; its output lines."""
     text = "".join(line + "\n" for line in lines)
-    if front_end == "sync":
+    if front_end in STDIN_WINDOWS:
         stdout = io.StringIO()
-        serve_sync(handler, io.StringIO(text), stdout)
-        return stdout.getvalue().splitlines()
-    if front_end == "async":
-        stdout = io.StringIO()
-        asyncio.run(serve_async(handler, io.StringIO(text), stdout))
+        asyncio.run(serve_async(
+            handler, io.StringIO(text), stdout,
+            max_inflight=STDIN_WINDOWS[front_end],
+        ))
         return stdout.getvalue().splitlines()
     assert front_end == "http"
     from test_service_http import http_batch_lines
@@ -501,7 +503,7 @@ class TestFrontEndParity:
         self, front_end, handler, service_site
     ):
         # Every failure class, plus a served page and an unroutable
-        # one: all three front-ends must emit byte-identical records.
+        # one: every front-end must emit byte-identical records.
         page = service_site.pages_with_hint("imdb-movies")[0]
         lines = [
             "{not json",
@@ -532,7 +534,7 @@ class TestFrontEndParity:
 
 
 class TestClosedDownstreamPipe:
-    """Satellite regression: a closed consumer pipe, both stdin loops.
+    """Regression: a closed consumer pipe, both stdin-loop windows.
 
     Uses a *real* OS pipe with the read end closed — the write fails
     with ``EPIPE`` exactly as when a ``serve | consumer`` pipeline's
@@ -540,7 +542,7 @@ class TestClosedDownstreamPipe:
     exception type.
     """
 
-    @pytest.mark.parametrize("front_end", ("sync", "async"))
+    @pytest.mark.parametrize("front_end", STDIN_WINDOWS)
     def test_closed_pipe_exits_cleanly(
         self, front_end, handler, service_site
     ):
@@ -551,16 +553,11 @@ class TestClosedDownstreamPipe:
         pages = service_site.pages_with_hint("imdb-movies")[:4]
         text = "".join(_line(page) + "\n" for page in pages)
         try:
-            if front_end == "sync":
-                stats = serve_sync(
-                    handler, io.StringIO(text), stdout,
-                    on_output_closed=lambda: closed.append(True),
-                )
-            else:
-                stats = asyncio.run(serve_async(
-                    handler, io.StringIO(text), stdout,
-                    on_output_closed=lambda: closed.append(True),
-                ))
+            stats = asyncio.run(serve_async(
+                handler, io.StringIO(text), stdout,
+                max_inflight=STDIN_WINDOWS[front_end],
+                on_output_closed=lambda: closed.append(True),
+            ))
         finally:
             try:
                 stdout.close()
@@ -580,6 +577,8 @@ class TestInterrupt:
     def test_sync_interrupt_flushes_line_complete_output(
         self, handler, service_site
     ):
+        # Ctrl-C raised synchronously out of a read — as opposed to the
+        # task cancellation below.
         pages = service_site.pages_with_hint("imdb-movies")[:3]
 
         class InterruptingStdin:
@@ -594,11 +593,11 @@ class TestInterrupt:
                 return self._lines.pop(0)
 
         stdout = io.StringIO()
-        stats = serve_sync(
+        stats = asyncio.run(serve_async(
             handler,
             InterruptingStdin([_line(page) + "\n" for page in pages]),
             stdout,
-        )
+        ))
         assert stats.interrupted
         assert stats.served == 3
         output = stdout.getvalue()

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import ShardMergeError, ShardPlanError
-from repro.service.engine import BatchExtractionEngine
+from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.service.shard import (
     ShardManifest,
     ShardMerger,
@@ -44,9 +44,9 @@ def _run_shards(plan, repository, by_url, tmp_path, shards=None,
 
 def _unsharded_bytes(pages, repository, **engine):
     stream = io.StringIO()
-    engine_run = BatchExtractionEngine(repository, ordered=True, **engine)
+    runtime = StreamingRuntime(repository, ordered=True, **engine)
     with JsonlSink(stream) as sink:
-        engine_run.run(pages, sink)
+        runtime.run(IterablePageSource(pages), sink)
     return stream.getvalue()
 
 
@@ -110,11 +110,11 @@ class TestOrderedEngine:
         self, service_site, service_repository
     ):
         pages = list(service_site)[:120]
-        engine = BatchExtractionEngine(
+        runtime = StreamingRuntime(
             service_repository, workers=4, chunk_size=7, ordered=True
         )
         sink = CollectingSink()
-        engine.run(pages, sink)
+        runtime.run(IterablePageSource(pages), sink)
         indices = [record.index for record in sink.records]
         assert indices == sorted(indices)
         # Indices are stream positions: dropped pages leave gaps.
@@ -403,15 +403,15 @@ class TestXmlMerge:
             assert (directory / manifest.output).is_dir()
         merged_dir = tmp_path / "merged-xml"
         report = XmlShardMerger().merge([directory], merged_dir)
-        # The unsharded reference: one ordered engine into one XML
+        # The unsharded reference: one ordered runtime into one XML
         # sink, different chunking (ordered emission makes the bytes
         # chunking-independent), no sidecars.
         reference_dir = tmp_path / "unsharded-xml"
-        engine = BatchExtractionEngine(
+        runtime = StreamingRuntime(
             service_repository, workers=3, chunk_size=11, ordered=True
         )
         with XmlDirectorySink(reference_dir, service_repository) as sink:
-            engine.run(pages, sink)
+            runtime.run(IterablePageSource(pages), sink)
         expected = {
             path.name: path.read_bytes()
             for path in reference_dir.glob("*.xml")

@@ -7,7 +7,7 @@ import json
 from repro.core.repository import Aggregation, RuleRepository
 from repro.extraction.extractor import ExtractionProcessor
 from repro.extraction.xml_writer import write_cluster_xml
-from repro.service.engine import BatchExtractionEngine
+from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.service.sink import (
     CollectingSink,
     JsonlSink,
@@ -60,10 +60,10 @@ class TestXmlDirectorySink:
     def test_streamed_xml_matches_batch_writer(self, service_site,
                                                service_repository, tmp_path):
         movies = service_site.pages_with_hint("imdb-movies")[:12]
-        engine = BatchExtractionEngine(service_repository, workers=2)
+        runtime = StreamingRuntime(service_repository, workers=2)
         sink = XmlDirectorySink(tmp_path / "xml", service_repository)
         with sink:
-            engine.run(movies, sink)
+            runtime.run(IterablePageSource(movies), sink)
         streamed = (tmp_path / "xml" / "imdb-movies.xml").read_text(
             encoding="utf-8"
         )

@@ -1,6 +1,7 @@
 """Zero-copy page transport: staging, fallback and segment lifecycle."""
 
 import glob
+import io
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from repro.service.runtime import (
     _process_chunk,
     _process_chunk_shm,
 )
+from repro.service.sink import JsonlSink
 from repro.service.transport import (
     SEGMENT_PREFIX,
     SharedMemoryPageTransport,
@@ -39,7 +41,7 @@ def _stray_segments() -> list[str]:
 
 @pytest.fixture()
 def transport():
-    t = SharedMemoryPageTransport(mode="auto", metrics=MetricsRegistry())
+    t = SharedMemoryPageTransport(metrics=MetricsRegistry())
     yield t
     t.close_all()
 
@@ -75,26 +77,27 @@ class TestStaging:
         assert staged.segment is None
         assert staged.payload == [(0, 0, "http://e/", "")]
 
-    def test_pickle_mode_forces_legacy_payload(self):
-        t = SharedMemoryPageTransport(mode="pickle",
-                                      metrics=MetricsRegistry())
-        assert not t.available
-        staged = t.stage(_chunk(2))
-        assert staged.segment is None
-        assert staged.payload[0][3].startswith("<body>")
-
-    def test_shm_mode_raises_when_unavailable(self, monkeypatch):
+    def test_pickle_mode_forces_legacy_payload(self, monkeypatch):
+        # Once the probe fails, every chunk ships its HTML inline.
         monkeypatch.setattr(
             SharedMemoryPageTransport, "_probe", staticmethod(lambda: False)
         )
-        with pytest.raises(ValueError, match="shm"):
-            SharedMemoryPageTransport(mode="shm", metrics=MetricsRegistry())
+        metrics = MetricsRegistry()
+        t = SharedMemoryPageTransport(metrics=metrics)
+        assert not t.available
+        for _ in range(2):
+            staged = t.stage(_chunk(2))
+            assert staged.segment is None
+            assert staged.payload[0][3].startswith("<body>")
+        assert t.active == 0
+        assert 'repro_transport_chunks_total{kind="pickle"} 2' \
+            in metrics.render()
 
     def test_auto_degrades_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(
             SharedMemoryPageTransport, "_probe", staticmethod(lambda: False)
         )
-        t = SharedMemoryPageTransport(mode="auto", metrics=MetricsRegistry())
+        t = SharedMemoryPageTransport(metrics=MetricsRegistry())
         staged = t.stage(_chunk(2))
         assert staged.segment is None
 
@@ -115,13 +118,9 @@ class TestStaging:
         assert staged.segment is None
         assert not transport.available  # sticky: no more create attempts
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            SharedMemoryPageTransport(mode="mmap")
-
     def test_metrics_track_chunks_bytes_and_active(self):
         metrics = MetricsRegistry()
-        t = SharedMemoryPageTransport(mode="auto", metrics=metrics)
+        t = SharedMemoryPageTransport(metrics=metrics)
         if not t.available:
             pytest.skip("no shared memory on this platform")
         staged = t.stage(_chunk(2))
@@ -149,11 +148,10 @@ class TestWorkerSide:
     ):
         pages = service_site.pages_with_hint("imdb-movies")[:6]
         chunk = [(i, i, page) for i, page in enumerate(pages)]
-        transport = SharedMemoryPageTransport(mode="auto",
-                                              metrics=MetricsRegistry())
+        transport = SharedMemoryPageTransport(metrics=MetricsRegistry())
         if not transport.available:
             pytest.skip("no shared memory on this platform")
-        _init_process_worker(service_repository.to_dict(), True)
+        _init_process_worker(service_repository.to_dict())
         staged = transport.stage(chunk)
         try:
             shm_outcomes, _, _ = _process_chunk_shm(
@@ -179,7 +177,7 @@ class TestRuntimeLifecycle:
                                           service_site):
         runtime = StreamingRuntime(
             service_repository, workers=2, executor="process",
-            chunk_size=4, transport="auto", metrics=MetricsRegistry(),
+            chunk_size=4, metrics=MetricsRegistry(),
         )
         report, records = runtime.run_collect(self._source(service_site))
         assert report.pages_served == 40
@@ -191,8 +189,7 @@ class TestRuntimeLifecycle:
                                             service_site):
         runtime = StreamingRuntime(
             service_repository, workers=2, executor="process",
-            chunk_size=4, contain_errors=True, transport="auto",
-            metrics=MetricsRegistry(),
+            chunk_size=4, contain_errors=True, metrics=MetricsRegistry(),
         )
         report, _ = runtime.run_collect(self._source(service_site, 16))
         assert report.pages_served == 16
@@ -204,7 +201,7 @@ class TestRuntimeLifecycle:
         cancel = CancellationToken()
         runtime = StreamingRuntime(
             service_repository, workers=2, executor="process",
-            chunk_size=2, transport="auto", metrics=MetricsRegistry(),
+            chunk_size=2, metrics=MetricsRegistry(),
         )
         report = runtime.run(
             self._source(service_site),
@@ -229,7 +226,7 @@ class TestRuntimeLifecycle:
             poisoned.record(cluster, rule)
         runtime = StreamingRuntime(
             poisoned, workers=2, executor="process",
-            chunk_size=4, transport="auto", metrics=MetricsRegistry(),
+            chunk_size=4, metrics=MetricsRegistry(),
         )
         with pytest.raises(BrokenProcessPool):
             runtime.run_collect(self._source(service_site, 16))
@@ -237,25 +234,29 @@ class TestRuntimeLifecycle:
         assert not _stray_segments()
 
     def test_forced_pickle_transport_matches_shm(self, service_repository,
-                                                 service_site):
-        def run(transport):
+                                                 service_site, monkeypatch):
+        def run():
+            metrics = MetricsRegistry()
             runtime = StreamingRuntime(
                 service_repository, workers=2, executor="process",
-                chunk_size=4, ordered=True, transport=transport,
-                metrics=MetricsRegistry(),
+                chunk_size=4, ordered=True, metrics=metrics,
             )
-            _, records = runtime.run_collect(self._source(service_site, 24))
-            return [
-                (r.url, r.cluster, r.values, r.failures, r.index)
-                for r in records
-            ]
+            stream = io.StringIO()
+            with JsonlSink(stream) as sink:
+                runtime.run(self._source(service_site, 24), sink)
+            return metrics.render(), stream.getvalue()
 
-        assert run("pickle") == run("auto")
-
-    def test_unknown_transport_rejected(self, service_repository):
-        with pytest.raises(ValueError, match="transport"):
-            StreamingRuntime(service_repository, executor="process",
-                             transport="mmap")
+        shm_metrics, shm_records = run()
+        # A host without /dev/shm: the probe fails, every chunk pickles.
+        monkeypatch.setattr(
+            SharedMemoryPageTransport, "_probe", staticmethod(lambda: False)
+        )
+        pickle_metrics, pickle_records = run()
+        assert 'repro_transport_chunks_total{kind="pickle"} 6' \
+            in pickle_metrics
+        assert 'kind="shm"' not in pickle_metrics
+        assert shm_records.count("\n") == 24
+        assert pickle_records == shm_records
 
 
 class TestSubmitFailureLeases:
@@ -267,7 +268,7 @@ class TestSubmitFailureLeases:
         # release it on the spot rather than leaving it to close_all.
         runtime = StreamingRuntime(
             service_repository, workers=2, executor="process",
-            chunk_size=4, transport="auto", metrics=MetricsRegistry(),
+            chunk_size=4, metrics=MetricsRegistry(),
         )
         transport = runtime._transport
         if not transport.available:
@@ -302,9 +303,7 @@ class TestConcurrentSweep:
         # segment — a double unlink decremented the active gauge twice
         # (driving it negative) and double-closed the mapping.
         metrics = MetricsRegistry()
-        transport = SharedMemoryPageTransport(
-            mode="auto", metrics=metrics
-        )
+        transport = SharedMemoryPageTransport(metrics=metrics)
         if not transport.available:
             pytest.skip("no shared memory on this platform")
         destroyed: list[str] = []
