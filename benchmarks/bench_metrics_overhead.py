@@ -78,14 +78,26 @@ def test_metrics_overhead(benchmark):
     _round_seconds(bare, lines)
     _round_seconds(instrumented, lines)
 
-    bare_best = min(
-        _round_seconds(bare, lines) for _ in range(ROUNDS)
-    )
-    instrumented_best = benchmark.pedantic(
-        lambda: min(
-            _round_seconds(instrumented, lines) for _ in range(ROUNDS)
-        ),
-        rounds=1, iterations=1,
+    def alternating_rounds() -> tuple[float, float]:
+        """Best bare and best instrumented round, interleaved A/B.
+
+        Each round runs both sides back to back and swaps which side
+        goes first, so drift over the measurement hits both equally.
+        """
+        bare_rounds: list[float] = []
+        instrumented_rounds: list[float] = []
+        for round_index in range(ROUNDS):
+            sides = [
+                (bare, bare_rounds), (instrumented, instrumented_rounds)
+            ]
+            if round_index % 2:
+                sides.reverse()
+            for handler, rounds in sides:
+                rounds.append(_round_seconds(handler, lines))
+        return min(bare_rounds), min(instrumented_rounds)
+
+    bare_best, instrumented_best = benchmark.pedantic(
+        alternating_rounds, rounds=1, iterations=1,
     )
 
     total = len(lines)

@@ -920,7 +920,7 @@ def cmd_shard_merge(args: argparse.Namespace) -> int:
 
 #: CLI override of the consecutive-decode-failure cap before ``serve``
 #: gives up.  ``None`` defers to the single definition in
-#: :data:`repro.service.serve.MAX_DECODE_FAILURES` (sync and async
+#: :data:`repro.service.serve.MAX_DECODE_FAILURES` (the stdin and HTTP
 #: front-ends can never drift); rebind to a number to tune the CLI.
 #: Kept lazy so non-service subcommands never import the serve layer.
 SERVE_MAX_DECODE_FAILURES: Optional[int] = None
@@ -1237,9 +1237,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if adapter is None:
             return 2
     try:
-        # One policy object, every front-end: the sync/async stdin
-        # loops and the HTTP ingress inherit the same caps and
-        # admission limits.
+        # One policy object, every front-end: the stdin loop and the
+        # HTTP ingress inherit the same caps and admission limits.
         policy = ServePolicy(
             max_decode_failures=_serve_decode_failure_cap(),
             max_inflight=args.max_inflight,
@@ -1285,10 +1284,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             deployer.ensure_baseline()
             adapter.deployer = deployer
         elif registry is not None and registry.pinned() is None:
-            _publish_initial(
-            registry, repository, router,
-            allow_findings=args.allow_findings,
-        )
+            # Stamp the version before any front-end starts: /healthz
+            # reports it, and supervisor children inherit it.
+            handler.artifact_version = _publish_initial(
+                registry, repository, router,
+                allow_findings=args.allow_findings,
+            )
     except LintGateError as exc:
         _print_lint_refusal(exc)
         return 2

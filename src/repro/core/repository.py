@@ -108,25 +108,21 @@ class RuleRepository:
 
     # -- compilation (service subsystem entry point) ----------------------- #
 
-    def compile_cluster(self, cluster: str, postprocessor=None):
+    def compile_cluster(self, cluster: str):
         """Compile one cluster's rules into a :class:`CompiledWrapper`.
 
         The compiled wrapper is the deployable serving artifact: XPath
         ASTs are pre-parsed, eligible locations fuse into a single-pass
-        DOM automaton, the remaining relative primaries share one
-        prefix-trie walk, and post-processor chains are pre-resolved.
-        See :mod:`repro.service.compiler`.
+        DOM automaton, and the remaining relative primaries share one
+        prefix-trie walk.  See :mod:`repro.service.compiler`.
         """
         from repro.service.compiler import compile_wrapper
 
-        return compile_wrapper(self, cluster, postprocessor=postprocessor)
+        return compile_wrapper(self, cluster)
 
-    def compile_all(self, postprocessor=None) -> dict:
+    def compile_all(self) -> dict:
         """Compile every cluster: cluster name -> :class:`CompiledWrapper`."""
-        return {
-            cluster: self.compile_cluster(cluster, postprocessor=postprocessor)
-            for cluster in self.clusters()
-        }
+        return {cluster: self.compile_cluster(cluster) for cluster in self.clusters()}
 
     def __len__(self) -> int:
         return sum(len(rules) for rules in self._clusters.values())

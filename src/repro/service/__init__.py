@@ -24,8 +24,8 @@ Every entry point is a composition over the same
 * sharded batch (:mod:`repro.service.shard`) — a plan slice per host,
   merged back into the unsharded byte stream, resumable per shard;
 * online serving (:mod:`repro.service.serve`) — single pages through
-  an inline runtime, under the asyncio stdin front-end or the HTTP
-  ingress (:mod:`repro.service.http`), both sharing one
+  the runtime's ``process_page``, under the asyncio stdin front-end or
+  the HTTP ingress (:mod:`repro.service.http`), both sharing one
   :class:`~repro.service.serve.ServeHandler` and
   :class:`~repro.service.serve.ServePolicy`;
 * online adaptation (:mod:`repro.service.adapt`) — sliding-window
@@ -46,7 +46,6 @@ Every entry point is a composition over the same
 from repro.service.adapt import (
     AdaptationLog,
     AdaptiveRouter,
-    AdaptiveRouterStage,
     DriftEvent,
     DriftMonitor,
     RefitEvent,
@@ -70,9 +69,7 @@ from repro.service.runtime import (
     LoadingPageSource,
     OrderedEmitter,
     PageSource,
-    RecordSink,
     RuntimeReport,
-    Stage,
     StreamingRuntime,
 )
 from repro.service.http import HttpFrontEnd, HttpStats
@@ -148,7 +145,6 @@ from repro.service.sink import (
 __all__ = [
     "AdaptationLog",
     "AdaptiveRouter",
-    "AdaptiveRouterStage",
     "AdmissionController",
     "AdmissionDecision",
     "ArtifactRegistry",
@@ -186,7 +182,6 @@ __all__ = [
     "PageRecord",
     "PageSource",
     "PromoteEvent",
-    "RecordSink",
     "ResultSink",
     "RollbackEvent",
     "RouteDecision",
@@ -204,7 +199,6 @@ __all__ = [
     "ShardStatus",
     "ShardWorker",
     "SliceCheckpoint",
-    "Stage",
     "StagedChunk",
     "StreamingRuntime",
     "SupervisorStats",

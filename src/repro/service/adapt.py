@@ -18,10 +18,10 @@ half of the problem:
   an incremental :meth:`~repro.service.router.ClusterRouter.refit` —
   recomputed centroids installed by atomic swap, so in-flight routing
   is never torn;
-* an :class:`AdaptiveRouterStage` (a runtime
-  :class:`~repro.service.runtime.Stage`) feeds per-record extraction
-  outcomes back into the same monitor, closing the loop for drift that
-  breaks extraction before it breaks routing;
+* :meth:`AdaptiveRouter.note_result` takes every extracted page's
+  outcome from the runtime's outcome step back into the same monitor,
+  closing the loop for drift that breaks extraction before it breaks
+  routing;
 * an :class:`AdaptationLog` records every drift and refit event as a
   JSON line so operators can audit exactly why the router moved.
 
@@ -50,7 +50,6 @@ from repro.clustering.features import PageSignature
 from repro.errors import ClusteringError
 from repro.service.metrics import default_registry
 from repro.service.router import UNROUTABLE, ClusterRouter, RouteDecision
-from repro.service.sink import PageRecord
 from repro.sites.page import WebPage
 
 #: Sliding-window length (observations per key) unless overridden.
@@ -445,7 +444,13 @@ class AdaptiveRouter:
     # -- feedback from extraction -------------------------------------- #
 
     def note_result(self, cluster: str, failed: bool) -> None:
-        """Feed one extraction outcome (the :class:`Stage` signal)."""
+        """Feed one extracted page's outcome into the drift monitor.
+
+        ``failed`` is true when any component failed or the extraction
+        raised.  The runtime's outcome step calls this for every page,
+        so adaptive and non-adaptive runs emit identical bytes until a
+        refit actually changes a routing decision.
+        """
         with self._lock:
             event = self.monitor.observe(cluster, failed)
             if event is not None:
@@ -453,10 +458,6 @@ class AdaptiveRouter:
         deployer = self.deployer
         if deployer is not None:
             deployer.note_result(cluster, failed)
-
-    def stage(self) -> "AdaptiveRouterStage":
-        """The runtime stage feeding served records back into this."""
-        return AdaptiveRouterStage(self)
 
     # -- internals ------------------------------------------------------ #
 
@@ -554,25 +555,6 @@ class AdaptiveRouter:
         self.log.record(refit_event)
         if deployer is not None:
             deployer.stage(target, trigger, refit_event)
-
-
-class AdaptiveRouterStage:
-    """Runtime :class:`~repro.service.runtime.Stage` closing the loop.
-
-    Routing alone cannot see drift that keeps pages routable but breaks
-    extraction (a renamed label, a moved cell): this stage feeds every
-    served record's outcome — failed if any component failure was
-    detected — back into the adapter's monitor, and returns the record
-    unchanged, so adaptive and non-adaptive runs emit identical bytes
-    until a refit actually changes a routing decision.
-    """
-
-    def __init__(self, adaptive: AdaptiveRouter) -> None:
-        self.adaptive = adaptive
-
-    def __call__(self, record: PageRecord) -> PageRecord:
-        self.adaptive.note_result(record.cluster, bool(record.failures))
-        return record
 
 
 def make_adapter(

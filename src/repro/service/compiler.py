@@ -26,9 +26,10 @@ serving artifact that reads a page in one pass:
 Everything else (absolute paths, filter expressions, ineligible
 alternatives) evaluates lazily through the generic engine.
 
-Post-processor chains are resolved per component at compile time
-(:meth:`repro.extraction.postprocess.PostProcessor.resolve`), so the
-per-value dict lookups disappear from the hot loop.
+A wrapper yields the rules' raw texts; post-processing is not part of
+the artifact.  The runtime applies the resolved chains
+(:meth:`repro.extraction.postprocess.PostProcessor.resolve`) once per
+page in its outcome step, whatever the executor.
 
 Output is byte-identical to the sequential processor: value grouping
 goes through :meth:`MappingRule.match_from_nodes` and failure
@@ -39,7 +40,7 @@ detection through :func:`~repro.extraction.extractor.classify_failure`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.core.repository import RuleRepository
 from repro.core.rule import MappingRule
@@ -51,7 +52,6 @@ from repro.extraction.extractor import (
     ExtractionResult,
     classify_failure,
 )
-from repro.extraction.postprocess import PostProcessor
 from repro.service.automaton import (
     ExtractionAutomaton,
     automaton_steps,
@@ -147,14 +147,12 @@ class CompiledRule:
         trie_primary: whether the primary location is evaluated through
             the wrapper's residual prefix trie (alternatives always
             evaluate lazily — they only run when the primary is void).
-        post: pre-resolved post-processing chain, or ``None``.
     """
 
     rule: MappingRule
     index: int
     locations: tuple[XPath, ...]
     trie_primary: bool
-    post: Optional[Callable[[list[str]], list[str]]]
     #: Automaton slot per location (parallel to ``locations``); ``None``
     #: where a location is ineligible and evaluates elsewhere.
     slots: tuple[Optional[int], ...] = ()
@@ -289,10 +287,7 @@ class CompiledWrapper:
                     failures.append(
                         ExtractionFailure(page.url, rule.name, reason)
                     )
-            texts = [value.text for value in match.values]
-            if crule.post is not None:
-                texts = crule.post(texts)
-            extracted.values[rule.name] = texts
+            extracted.values[rule.name] = [value.text for value in match.values]
             extracted.raw_values[rule.name] = list(match.values)
         return extracted
 
@@ -351,7 +346,6 @@ def _trie_candidate(xpath: XPath) -> Optional[tuple[Step, ...]]:
 def compile_wrapper(
     repository: RuleRepository,
     cluster: str,
-    postprocessor: Optional[PostProcessor] = None,
     version: Optional[str] = None,
     lint_findings: int = 0,
 ) -> CompiledWrapper:
@@ -398,18 +392,12 @@ def compile_wrapper(
             trie_rules += 1
             primary_steps += len(steps)
             _trie_insert(root, steps, index)
-        post = (
-            postprocessor.resolve(rule.name)
-            if postprocessor is not None
-            else None
-        )
         compiled.append(
             CompiledRule(
                 rule=rule,
                 index=index,
                 locations=locations,
                 trie_primary=steps is not None,
-                post=post,
                 slots=tuple(slots),
             )
         )

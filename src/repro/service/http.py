@@ -1,9 +1,9 @@
-"""HTTP/1.1 ingress: the third ``serve`` front-end (socket transport).
+"""HTTP/1.1 ingress: the second ``serve`` front-end (socket transport).
 
-The stdin front-ends make extraction scriptable; this module makes it
+The stdin front-end makes extraction scriptable; this module makes it
 *reachable* — a minimal HTTP/1.1 layer on ``asyncio.start_server``
 (stdlib only) in front of the same :class:`~repro.service.serve.
-ServeHandler` the stdin loops drive, so a page POSTed over HTTP yields
+ServeHandler` the stdin loop drives, so a page POSTed over HTTP yields
 a record **byte-identical** to what ``serve`` writes on stdout for the
 same input line.
 
@@ -111,7 +111,7 @@ class HttpStats:
     requests: int = 0
     #: Request lines answered with a record (served + error + gap).
     pages: int = 0
-    #: Successfully extracted pages (the stdin loops' counter).
+    #: Successfully extracted pages (the stdin loop's counter).
     served: int = 0
     #: Requests refused at the HTTP layer (4xx/5xx).
     protocol_errors: int = 0
@@ -324,7 +324,7 @@ async def _body_lines(body):
     """Yield the body's NDJSON lines incrementally, as they arrive.
 
     Items are ``str`` lines (newline stripped; a final unterminated
-    line included, exactly like the stdin loops' EOF handling) or, for
+    line included, exactly like the stdin loop's EOF handling) or, for
     a line that is not valid UTF-8, the ``UnicodeDecodeError`` itself
     — the caller turns those into error records under the shared
     consecutive-failure cap.
@@ -925,7 +925,7 @@ class HttpFrontEnd:
         if abort_message is not None:
             _write_chunk(_dumps(make_error_record(abort_message)))
         if request_stats.gave_up:
-            # The stdin loops signal this on stderr + exit code; an
+            # The stdin loop signals this on stderr + exit code; an
             # HTTP client only has the stream, so say it there — a
             # truncated batch must never look fully processed.
             clean = False

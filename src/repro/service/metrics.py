@@ -110,7 +110,8 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "repro_pages_failed_total", "counter", ("cluster",),
-        "Pages whose extraction raised (contained as error records).",
+        "Pages whose extraction raised in serve (answered with an "
+        "error record).",
     ),
     MetricSpec(
         "repro_route_seconds", "histogram", (),
@@ -120,7 +121,8 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "repro_extract_seconds", "histogram", ("cluster",),
-        "Extraction-stage worker latency per page (seconds).",
+        "Extraction latency per page, timed around that page alone "
+        "(seconds).",
     ),
     MetricSpec(
         "repro_automaton_pages_total", "counter", ("cluster",),
@@ -950,7 +952,6 @@ class ProgressEmitter:
             "pages": report.total_pages,
             "served": report.pages_served,
             "unroutable": report.unroutable_count,
-            "errors": report.errors_count,
             "elapsed": round(self._clock() - self._started, 3),
         }
         if done:

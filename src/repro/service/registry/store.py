@@ -354,7 +354,7 @@ class ArtifactRegistry:
             ) from exc
         return repository, router_from_payload(payload), manifest
 
-    def compile(self, version: str, postprocessor=None) -> dict:
+    def compile(self, version: str) -> dict:
         """Compile one version's clusters into version-stamped wrappers.
 
         The deploy path: ``cluster name ->`` :class:`~repro.service.
@@ -379,7 +379,6 @@ class ArtifactRegistry:
         return {
             cluster: compile_wrapper(
                 repository, cluster,
-                postprocessor=postprocessor,
                 version=manifest.version,
                 lint_findings=per_cluster.get(cluster, 0),
             )

@@ -2,23 +2,28 @@
 
 ``batch``, ``shard run`` and ``serve`` are one pipeline wearing three
 front-ends: pages come from somewhere (:class:`PageSource`), are routed
-to a cluster, extracted by a compiled wrapper, stamped with their
-global submission index, optionally transformed (:class:`Stage`), and
-emitted into a :class:`RecordSink`.  Each entry point composes one
-:class:`StreamingRuntime`:
+to a cluster, extracted by a compiled wrapper, post-processed, stamped
+with their global submission index, and written into a
+:class:`~repro.service.sink.ResultSink`.  One route step
+(:meth:`StreamingRuntime._route`) and one per-page outcome step
+(:meth:`StreamingRuntime._finish`: post-processing, metrics, drift
+feedback, the record) serve both ways in:
 
-* ``batch`` runs a runtime over a :class:`LoadingPageSource` of the
+* :meth:`StreamingRuntime.run` streams a source through chunks.
+  ``batch`` runs it over a :class:`LoadingPageSource` of the
   directory's files, numbered by corpus position; library callers
   number an in-memory stream with :class:`IterablePageSource`;
-* ``ShardWorker`` (:mod:`repro.service.shard`) runs a runtime over a
+  ``ShardWorker`` (:mod:`repro.service.shard`) runs it over a
   :class:`LoadingPageSource` carrying the plan's *global* indices, so
-  shard outputs merge byte-identically into the unsharded stream;
-* ``serve`` (:mod:`repro.service.serve`) wraps single pages in an
-  **inline** runtime with error containment, under the ``asyncio``
-  stdin front-end or the HTTP ingress.
+  shard outputs merge byte-identically into the unsharded stream.  An
+  extraction exception ends the run;
+* :meth:`StreamingRuntime.process_page` turns one page into one
+  record, an error payload, or nothing.  ``serve``
+  (:mod:`repro.service.serve`) calls it per request, under the
+  ``asyncio`` stdin front-end or the HTTP ingress.
 
 Executors are pluggable: ``"inline"`` runs chunks on the calling
-thread (serving, tests), ``"thread"`` shares parsed DOMs across a
+thread (tests, small runs), ``"thread"`` shares parsed DOMs across a
 pool, ``"process"`` re-parses in workers for real multi-core
 parallelism, receiving page bytes through shared memory
 (:mod:`repro.service.transport`).  Emission is unordered (records
@@ -40,8 +45,8 @@ from typing import (
     Iterator,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
+    Union,
     runtime_checkable,
 )
 
@@ -65,16 +70,10 @@ from repro.sites.page import WebPage
 #: skipped files leave gaps).
 SourceItem = Tuple[int, WebPage]
 
-#: A worker's outcome for one page:
-#: (sequence, global index, url, values, failures, error message).
-#: ``error`` is ``None`` on success; on a contained extraction error
-#: ``values`` is ``None`` and ``error`` carries the message.
-_Outcome = tuple[int, int, str, Optional[dict], list, Optional[str]]
-
-
-# --------------------------------------------------------------------- #
-# Protocols
-# --------------------------------------------------------------------- #
+#: A worker's outcome for one page: (sequence, global index, url,
+#: values, failures, extraction seconds).  Values are the wrapper's
+#: raw texts; post-processing happens in the outcome step.
+_Outcome = tuple[int, int, str, dict, list, float]
 
 
 @runtime_checkable
@@ -82,31 +81,6 @@ class PageSource(Protocol):
     """Anything that yields ``(global index, page)`` in index order."""
 
     def __iter__(self) -> Iterator[SourceItem]: ...  # pragma: no cover
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """A per-record transform between extraction and emission.
-
-    Returns the (possibly mutated) record to keep it, or ``None`` to
-    drop it from the stream (the drop is counted in the report and
-    never stalls ordered emission).
-    """
-
-    def __call__(
-        self, record: PageRecord
-    ) -> Optional[PageRecord]: ...  # pragma: no cover
-
-
-@runtime_checkable
-class RecordSink(Protocol):
-    """Structural view of :class:`~repro.service.sink.ResultSink`."""
-
-    def write(self, record: PageRecord) -> None:  # pragma: no cover
-        """Accept one extracted record."""
-
-    def close(self) -> None:  # pragma: no cover
-        """Flush and release the sink's resources."""
 
 
 # --------------------------------------------------------------------- #
@@ -192,9 +166,9 @@ class OrderedEmitter:
     Producers complete out of order (chunks from different clusters
     interleave; async serve tasks finish whenever); this buffer holds a
     completed payload until every earlier sequence number has been
-    emitted or declared dropped (``None`` — unroutable pages, contained
-    errors and stage drops consume a sequence slot but produce no
-    payload, so gaps never stall the stream).
+    emitted or declared dropped (``None`` — an unroutable page consumes
+    a sequence slot but produces no payload, so gaps never stall the
+    stream).
 
     Worst-case held-payload count is bounded by the payloads deferred
     behind the oldest incomplete sequence number — small for balanced
@@ -284,12 +258,8 @@ URL_SAMPLE_CAP = 100
 class RuntimeReport:
     """Everything one runtime run observed.
 
-    ``unroutable``/``skipped``/``errors`` hold a bounded *sample* of
-    URLs (:data:`URL_SAMPLE_CAP`); the ``*_count`` fields are exact.
-    ``errors_count`` stays 0 unless the runtime runs with
-    ``contain_errors=True`` (extraction exceptions otherwise
-    propagate); ``dropped_count`` counts records a :class:`Stage`
-    removed.
+    ``unroutable``/``skipped`` hold a bounded *sample* of URLs
+    (:data:`URL_SAMPLE_CAP`); the ``*_count`` fields are exact.
     """
 
     total_pages: int = 0
@@ -299,11 +269,6 @@ class RuntimeReport:
     #: Pages routed to a cluster the repository has no rules for.
     skipped_count: int = 0
     skipped: list[str] = field(default_factory=list)
-    #: Pages whose extraction raised (contained-errors mode only).
-    errors_count: int = 0
-    errors: list[str] = field(default_factory=list)
-    #: Records removed by a pipeline stage.
-    dropped_count: int = 0
     #: Drift events raised / refits performed by an adaptive router
     #: during this run (0 unless the runtime was built with ``adapter``).
     drift_events: int = 0
@@ -328,12 +293,6 @@ class RuntimeReport:
         if len(self.skipped) < URL_SAMPLE_CAP:
             self.skipped.append(url)
 
-    def note_error(self, url: str) -> None:
-        """Count a failed page (URL sampled up to the cap)."""
-        self.errors_count += 1
-        if len(self.errors) < URL_SAMPLE_CAP:
-            self.errors.append(url)
-
     @property
     def pages_served(self) -> int:
         """Pages that produced a record, across clusters."""
@@ -355,10 +314,6 @@ class RuntimeReport:
             f"unroutable      : {self.unroutable_count}",
             f"no-rules skipped: {self.skipped_count}",
         ]
-        if self.errors_count:
-            lines.append(f"extraction error: {self.errors_count}")
-        if self.dropped_count:
-            lines.append(f"stage-dropped   : {self.dropped_count}")
         if self.cancelled:
             lines.append("interrupted     : yes (partial, line-complete)")
         if self.drift_events or self.refits:
@@ -382,8 +337,8 @@ class RuntimeReport:
 
 # Compiled wrappers hold DOM-walking closures and are rebuilt per
 # process from the repository's plain-dict form; HTML is re-parsed in
-# the worker.  Post-processing runs in the parent for process mode
-# (transform chains may be arbitrary closures).
+# the worker.  Post-processing always runs in the parent, in the
+# outcome step (transform chains may be arbitrary closures).
 
 _WORKER_REPOSITORY: Optional[RuleRepository] = None
 _WORKER_WRAPPERS: Dict[str, CompiledWrapper] = {}
@@ -413,9 +368,7 @@ def _worker_wrapper(cluster: str) -> tuple[CompiledWrapper, bool]:
 
 
 def _process_chunk(
-    cluster: str,
-    payload: list[tuple[int, int, str, str]],
-    contain_errors: bool,
+    cluster: str, payload: list[tuple[int, int, str, str]]
 ) -> tuple[list[_Outcome], float, bool]:
     wrapper, warm = _worker_wrapper(cluster)
     # Timer starts after the one-off wrapper compile so worker
@@ -427,90 +380,45 @@ def _process_chunk(
             (seq, index, WebPage(url=url, html=html))
             for seq, index, url, html in payload
         ],
-        contain_errors,
     )
     return outcomes, time.perf_counter() - started, warm
 
 
 def _process_chunk_shm(
-    cluster: str,
-    payload: tuple,
-    contain_errors: bool,
+    cluster: str, payload: tuple
 ) -> tuple[list[_Outcome], float, bool]:
     """Like :func:`_process_chunk`, pages read from shared memory."""
     wrapper, warm = _worker_wrapper(cluster)
     name, entries = payload
     started = time.perf_counter()
-    outcomes = _extract_chunk(
-        wrapper, load_shm_chunk(name, entries), contain_errors
-    )
+    outcomes = _extract_chunk(wrapper, load_shm_chunk(name, entries))
     return outcomes, time.perf_counter() - started, warm
 
 
 def _extract_one(
-    wrapper: CompiledWrapper,
-    seq: int,
-    index: int,
-    page: WebPage,
-    contain_errors: bool,
+    wrapper: CompiledWrapper, seq: int, index: int, page: WebPage
 ) -> _Outcome:
     failures: list = []
-    if contain_errors:
-        try:
-            extracted = wrapper.extract_page(page, failures)
-        except Exception as exc:
-            # One pathological page must not end the stream: surface
-            # it as an error outcome instead of killing the run.
-            message = f"{type(exc).__name__}: {exc}"
-            return (seq, index, page.url, None, [], message)
-    else:
-        extracted = wrapper.extract_page(page, failures)
+    started = time.perf_counter()
+    extracted = wrapper.extract_page(page, failures)
+    seconds = time.perf_counter() - started
     return (
         seq,
         index,
         page.url,
         extracted.values,
         [(f.component_name, f.reason) for f in failures],
-        None,
+        seconds,
     )
 
 
 def _extract_chunk(
-    wrapper: CompiledWrapper,
-    pages: list[tuple[int, int, WebPage]],
-    contain_errors: bool,
+    wrapper: CompiledWrapper, pages: list[tuple[int, int, WebPage]]
 ) -> list[_Outcome]:
     return [
-        _extract_one(wrapper, seq, index, page, contain_errors)
+        _extract_one(wrapper, seq, index, page)
         for seq, index, page in pages
     ]
-
-
-# --------------------------------------------------------------------- #
-# Pipeline stages
-# --------------------------------------------------------------------- #
-
-
-class ParentPostProcessStage:
-    """Apply resolved post-processor chains in the parent process.
-
-    Process executors rebuild wrappers without the (unpicklable)
-    post-processor; this stage applies the per-cluster chains to each
-    record as it is drained, producing the same values thread mode
-    bakes into its wrappers.
-    """
-
-    def __init__(self, chains: Dict[str, Dict[str, Callable]]) -> None:
-        self._chains = chains
-
-    def __call__(self, record: PageRecord) -> PageRecord:
-        chains = self._chains.get(record.cluster)
-        if chains is not None:
-            record.values = {
-                name: chains[name](values) if name in chains else values
-                for name, values in record.values.items()
-            }
-        return record
 
 
 # --------------------------------------------------------------------- #
@@ -539,8 +447,7 @@ class _ImmediateFuture:
 class _InlineExecutor:
     """Chunk execution on the calling thread — no pool, no handoff.
 
-    The right executor for online serving (one page at a time, lowest
-    latency) and for deterministic tests.
+    The right executor for small runs and deterministic tests.
     """
 
     def submit(self, fn: Callable, *args) -> _ImmediateFuture:
@@ -561,7 +468,7 @@ EXECUTOR_KINDS = ("inline", "thread", "process")
 
 
 class StreamingRuntime:
-    """Compose route → extract → stamp-index → emit over a page source.
+    """Compose route → extract → post-process → emit over a page source.
 
     Args:
         repository: validated rules (Section 3.5) for every served
@@ -569,7 +476,8 @@ class StreamingRuntime:
         router: optional :class:`ClusterRouter`; without one, pages
             are routed by their generator ``cluster_hint``.
         postprocessor: optional value clean-up, applied exactly as the
-            sequential processor would.
+            sequential processor would — once per page, in the outcome
+            step, whatever the executor.
         workers: executor pool size (≥ 1; ignored by ``inline``).
         executor: ``"inline"`` (calling thread), ``"thread"`` (default;
             shares parsed DOMs) or ``"process"`` (re-parses in workers;
@@ -585,16 +493,10 @@ class StreamingRuntime:
             in-flight window).  Required for shard-mergeable output
             (:mod:`repro.service.shard`); off by default because
             as-completed emission is cheaper when order is noise.
-        stages: extra per-record transforms applied between extraction
-            and emission (a stage returning ``None`` drops the record).
-        contain_errors: turn per-page extraction exceptions into error
-            records (:func:`~repro.service.sink.make_error_record`)
-            written via the sink's ``write_error`` instead of letting
-            them kill the run — at the page's submission position when
-            ``ordered``.  The online serving mode.
         adapter: an :class:`~repro.service.adapt.AdaptiveRouter`
             (mutually exclusive with ``router``): routing goes through
-            it, its feedback stage is installed ahead of ``stages``,
+            it, every extracted page's outcome feeds its drift monitor
+            (:meth:`~repro.service.adapt.AdaptiveRouter.note_result`),
             and the run report carries the drift/refit counts it
             accumulated during the run.
         metrics: a :class:`~repro.service.metrics.MetricsRegistry`
@@ -616,8 +518,6 @@ class StreamingRuntime:
         chunk_size: int = 16,
         max_pending: Optional[int] = None,
         ordered: bool = False,
-        stages: Sequence[Stage] = (),
-        contain_errors: bool = False,
         adapter=None,
         metrics=None,
     ) -> None:
@@ -646,7 +546,6 @@ class StreamingRuntime:
             max_pending if max_pending is not None else 4 * workers
         )
         self.ordered = ordered
-        self.contain_errors = contain_errors
         self.adapter = adapter
         self.metrics = metrics if metrics is not None else default_registry()
         self._transport = (
@@ -670,14 +569,7 @@ class StreamingRuntime:
         self._m_cold_chunks = self.metrics.from_spec(
             "repro_chunks_cold_total"
         )
-        # Thread/inline mode: wrappers apply post-processing in the
-        # worker.  Process mode: wrappers are rebuilt per process
-        # without the (unpicklable) post-processor; a parent-side stage
-        # applies the resolved chains as records drain — same values
-        # either way.
-        self._wrappers: Dict[str, CompiledWrapper] = repository.compile_all(
-            postprocessor if executor != "process" else None
-        )
+        self._wrappers: Dict[str, CompiledWrapper] = repository.compile_all()
         #: Clusters whose wrapper actually drives the automaton (at
         #: least one location compiled to a slot) — the basis for the
         #: ``repro_automaton_pages_total`` counter.
@@ -686,25 +578,18 @@ class StreamingRuntime:
             for cluster, wrapper in self._wrappers.items()
             if wrapper.stats.automaton_slots > 0
         }
-        self._stages: list[Stage] = []
-        if executor == "process" and postprocessor is not None:
-            chains: Dict[str, Dict[str, Callable]] = {}
-            for cluster in repository.clusters():
+        #: cluster -> component -> resolved post-processing chain, for
+        #: the components that have one.
+        self._chains: Dict[str, Dict[str, Callable]] = {}
+        if postprocessor is not None:
+            for cluster in self._wrappers:
                 resolved = {
                     name: chain
                     for name in repository.component_names(cluster)
                     if (chain := postprocessor.resolve(name)) is not None
                 }
                 if resolved:
-                    chains[cluster] = resolved
-            if chains:
-                self._stages.append(ParentPostProcessStage(chains))
-        if adapter is not None:
-            # Feedback before user stages, so a stage that drops a
-            # record cannot hide its extraction outcome from drift
-            # detection.
-            self._stages.append(adapter.stage())
-        self._stages.extend(stages)
+                    self._chains[cluster] = resolved
 
     # ------------------------------------------------------------------ #
 
@@ -733,8 +618,8 @@ class StreamingRuntime:
         """
         sink = sink if sink is not None else NullSink()
         report = RuntimeReport()
-        # Adapters outlive runs (a serve session is many single-page
-        # runs); the report carries only this run's share.
+        # Adapters outlive runs (several runs, or serve requests, may
+        # share one); the report carries only this run's share.
         drift_before = refits_before = 0
         if self.adapter is not None:
             drift_before = self.adapter.drift_events
@@ -743,18 +628,7 @@ class StreamingRuntime:
         executor = self._make_executor()
         pending: deque[tuple[str, object, Optional[str]]] = deque()
         buffers: Dict[str, list[tuple[int, int, WebPage]]] = {}
-
-        def release(item) -> None:
-            # Ordered emission carries error payloads (contained-errors
-            # mode) through the same reorder buffer as records, so the
-            # sink sees one strictly submission-ordered stream.
-            """Hand one drained item to the sink (records and errors alike)."""
-            if isinstance(item, PageRecord):
-                sink.write(item)
-            else:
-                sink.write_error(item)
-
-        emitter = OrderedEmitter(release) if self.ordered else None
+        emitter = OrderedEmitter(sink.write) if self.ordered else None
         try:
             for seq, (index, page) in enumerate(iter(source)):
                 if cancel is not None and cancel.is_set():
@@ -811,6 +685,32 @@ class StreamingRuntime:
         report.wall_seconds = time.perf_counter() - started
         return report
 
+    def process_page(self, page: WebPage) -> Union[PageRecord, dict, None]:
+        """Route and extract one page on the calling thread.
+
+        Returns the page's :class:`PageRecord` (``index`` −1), a
+        :func:`~repro.service.sink.make_error_record` payload when
+        extraction raised, or ``None`` when the page is unroutable or
+        its cluster has no rules.  Keeps no state between calls, so
+        the serve front-ends call it from many threads at once.
+        """
+        cluster = self._route(page)
+        if cluster is None:
+            return None
+        try:
+            outcome = _extract_one(self._wrappers[cluster], -1, -1, page)
+        except Exception as exc:
+            # One pathological page must not end a serve session: it
+            # becomes this request's error record, and it is drift
+            # just as surely as a componentwise failure.
+            self._m_failed.labels(cluster).inc()
+            if self.adapter is not None:
+                self.adapter.note_result(cluster, True)
+            return make_error_record(
+                f"{type(exc).__name__}: {exc}", url=page.url
+            )
+        return self._finish(cluster, outcome)
+
     def run_collect(
         self, source: PageSource
     ) -> tuple[RuntimeReport, list[PageRecord]]:
@@ -856,36 +756,62 @@ class StreamingRuntime:
         return _InlineExecutor()
 
     def _route(
-        self, page: WebPage, report: RuntimeReport
+        self, page: WebPage, report: Optional[RuntimeReport] = None
     ) -> Optional[str]:
+        """The page's served cluster, or ``None`` (noted in ``report``)."""
         if self.router is not None:
-            # Parse outside the route timer, as serve does before its
-            # run(): repro_route_seconds is signature and scoring only.
-            # Hint routing never needs the DOM, so it stays unparsed.
+            # Parse outside the route timer: repro_route_seconds is
+            # signature and scoring only.  Hint routing never needs
+            # the DOM, so it stays unparsed.
             page.root_element
         started = time.perf_counter()
         try:
             if self.router is not None:
                 cluster = self.router.target(page)
-                if cluster is None:
-                    report.note_unroutable(page.url)
-                    self._m_unroutable.inc()
-                    return None
             else:
-                cluster = page.cluster_hint
-                if not cluster:
+                cluster = page.cluster_hint or None
+            if cluster is None:
+                if report is not None:
                     report.note_unroutable(page.url)
-                    self._m_unroutable.inc()
-                    return None
+                self._m_unroutable.inc()
+                return None
             if cluster not in self._wrappers:
-                report.note_skipped(page.url)
+                if report is not None:
+                    report.note_skipped(page.url)
                 self._m_skipped.inc()
                 return None
-            report.routed[cluster] = report.routed.get(cluster, 0) + 1
+            if report is not None:
+                report.routed[cluster] = report.routed.get(cluster, 0) + 1
             self._m_routed.labels(cluster).inc()
             return cluster
         finally:
             self._m_route_seconds.observe(time.perf_counter() - started)
+
+    def _finish(self, cluster: str, outcome: _Outcome) -> PageRecord:
+        """One extracted page's outcome step, shared by every path.
+
+        Applies the post-processor chains, observes the page's own
+        extraction time, counts automaton pages, feeds the drift
+        monitor, and returns the record.
+        """
+        _, index, url, values, failures, seconds = outcome
+        chains = self._chains.get(cluster)
+        if chains is not None:
+            values = {
+                name: chains[name](texts) if name in chains else texts
+                for name, texts in values.items()
+            }
+        self._m_extract_seconds.labels(cluster).observe(seconds)
+        if cluster in self._automaton_clusters:
+            self._m_automaton_pages.labels(cluster).inc()
+        if self.adapter is not None:
+            # Routing alone cannot see drift that keeps pages routable
+            # but breaks extraction (a renamed label, a moved cell).
+            self.adapter.note_result(cluster, bool(failures))
+        return PageRecord(
+            url=url, cluster=cluster, values=values, failures=failures,
+            index=index,
+        )
 
     def _flush_blocking_buffer(
         self,
@@ -923,11 +849,9 @@ class StreamingRuntime:
             lease = staged.segment
             worker = _process_chunk_shm if lease is not None else _process_chunk
             try:
-                future = executor.submit(
-                    worker, cluster, staged.payload, self.contain_errors
-                )
+                future = executor.submit(worker, cluster, staged.payload)
             except BaseException:
-                # Stage succeeded but no future exists to carry the
+                # Staging succeeded but no future exists to carry the
                 # lease: without this release the segment would only
                 # fall to the close_all() sweep — or leak outright if
                 # the caller swallows the submit failure.
@@ -935,9 +859,8 @@ class StreamingRuntime:
                     self._transport.release(lease)
                 raise
         else:
-            wrapper = self._wrappers[cluster]
             future = executor.submit(
-                self._local_chunk, wrapper, chunk, self.contain_errors
+                self._local_chunk, self._wrappers[cluster], chunk
             )
         pending.append((cluster, future, lease))
         stats = report.per_cluster.setdefault(cluster, ClusterStats())
@@ -945,14 +868,12 @@ class StreamingRuntime:
 
     @staticmethod
     def _local_chunk(
-        wrapper: CompiledWrapper,
-        pages: list[tuple[int, int, WebPage]],
-        contain_errors: bool,
+        wrapper: CompiledWrapper, pages: list[tuple[int, int, WebPage]]
     ) -> tuple[list[_Outcome], float, bool]:
         # Local executors share the parent's pre-compiled wrappers, so
         # every chunk is warm by construction.
         started = time.perf_counter()
-        outcomes = _extract_chunk(wrapper, pages, contain_errors)
+        outcomes = _extract_chunk(wrapper, pages)
         return outcomes, time.perf_counter() - started, True
 
     def _drain_one(
@@ -967,7 +888,7 @@ class StreamingRuntime:
             outcomes, seconds, warm = future.result()
         finally:
             # The segment lease must drop however the chunk ended —
-            # success, contained error or a dead worker alike.
+            # success, an extraction error or a dead worker alike.
             if lease is not None:
                 self._transport.release(lease)
         stats = report.per_cluster.setdefault(cluster, ClusterStats())
@@ -978,48 +899,12 @@ class StreamingRuntime:
         else:
             stats.cold_chunks += 1
             self._m_cold_chunks.labels(cluster).inc()
-        if outcomes and cluster in self._automaton_clusters:
-            self._m_automaton_pages.labels(cluster).inc(len(outcomes))
-        if outcomes:
-            # Workers time whole chunks; spread the cost evenly so the
-            # histogram stays per-page comparable across chunk sizes.
-            per_page_seconds = seconds / len(outcomes)
-            extract_hist = self._m_extract_seconds.labels(cluster)
-        for seq, index, url, values, failures, error in outcomes:
-            extract_hist.observe(per_page_seconds)
-            if error is not None:
-                report.note_error(url)
-                self._m_failed.labels(cluster).inc()
-                # Error outcomes never reach the stage pipeline, so
-                # the drift monitor must hear about them here — an
-                # extraction that *raises* on every page is drift just
-                # as surely as one that fails componentwise.
-                if self.adapter is not None:
-                    self.adapter.note_result(cluster, True)
-                payload = make_error_record(error, url=url)
-                if emitter is not None:
-                    emitter.emit(seq, payload)
-                else:
-                    sink.write_error(payload)
-                continue
-            record = PageRecord(
-                url=url, cluster=cluster, values=values,
-                failures=[tuple(f) for f in failures],
-                index=index,
-            )
-            for stage in self._stages:
-                record = stage(record)
-                if record is None:
-                    break
-            if record is None:
-                report.dropped_count += 1
-                if emitter is not None:
-                    emitter.emit(seq, None)
-                continue
+        for outcome in outcomes:
+            record = self._finish(cluster, outcome)
             stats.pages += 1
-            stats.values += sum(len(vals) for vals in record.values.values())
+            stats.values += sum(len(texts) for texts in record.values.values())
             stats.failures += len(record.failures)
             if emitter is not None:
-                emitter.emit(seq, record)
+                emitter.emit(outcome[0], record)
             else:
                 sink.write(record)

@@ -3,10 +3,10 @@
 ``serve`` reads ``{"url", "html"}`` JSON requests and writes one record
 line per request — a served record, an unroutable record, or an error
 record.  Every front-end drives the same :class:`ServeHandler`, which
-wraps a single-page **inline** :class:`~repro.service.runtime.
-StreamingRuntime` (error containment on, post-processing identical to
-batch), so a page served online yields byte-for-byte the same values a
-batch run would emit:
+calls :meth:`~repro.service.runtime.StreamingRuntime.process_page` — the
+route and outcome steps (post-processing included) a batch run's drain
+loop uses — so a page served online yields byte-for-byte the same
+values a batch run would emit:
 
 * :func:`serve_async` is the stdin front-end: reads never block
   extraction, up to ``max_inflight`` pages are processed concurrently
@@ -56,13 +56,9 @@ from repro.service.metrics import (
     default_registry,
 )
 from repro.service.router import ClusterRouter
-from repro.service.runtime import (
-    IterablePageSource,
-    OrderedEmitter,
-    StreamingRuntime,
-)
+from repro.service.runtime import OrderedEmitter, StreamingRuntime
 from repro.service.sink import (
-    CollectingSink,
+    PageRecord,
     make_error_record,
     make_unroutable_record,
 )
@@ -154,9 +150,10 @@ class ServeHandler:
             (default: the process-wide registry, which is what
             ``GET /metrics`` renders).
 
-    Thread-safe: the wrapped inline runtime keeps no per-run state
-    (and the adapter guards its own), so the async front-ends call
-    :meth:`handle_line` from many worker threads at once.
+    Thread-safe: :meth:`~repro.service.runtime.StreamingRuntime.
+    process_page` keeps no state between calls (and the adapter guards
+    its own), so the async front-ends call :meth:`handle_line` from
+    many worker threads at once.
     """
 
     def __init__(
@@ -200,10 +197,7 @@ class ServeHandler:
             repository,
             router=router,
             postprocessor=postprocessor,
-            workers=1,
             executor="inline",
-            chunk_size=1,
-            contain_errors=True,
             adapter=adapter,
             metrics=self.metrics,
         )
@@ -238,18 +232,16 @@ class ServeHandler:
         """Route and extract one parsed page through the runtime."""
         if self.router is None and self.cluster:
             page.cluster_hint = self.cluster
-        sink = CollectingSink()
-        self.runtime.run(IterablePageSource([page]), sink)
-        if sink.records:
-            record = sink.records[0]
+        result = self.runtime.process_page(page)
+        if isinstance(result, PageRecord):
             return _dumps({
-                "url": record.url,
-                "cluster": record.cluster,
-                "values": record.values,
-                "failures": [list(f) for f in record.failures],
+                "url": result.url,
+                "cluster": result.cluster,
+                "values": result.values,
+                "failures": [list(f) for f in result.failures],
             }), True
-        if sink.errors:
-            return _dumps(sink.errors[0]), False
+        if result is not None:
+            return _dumps(result), False
         # Unroutable, or routed to a cluster with no rules: same
         # auditable gap either way.
         return _dumps(make_unroutable_record(page.url)), False
@@ -262,7 +254,8 @@ def _dumps(payload: dict) -> str:
 def contained_handle(handler: ServeHandler, line: str) -> tuple[str, bool]:
     """``handle_line`` with last-resort containment, for every loop.
 
-    The handler contains its own errors; anything that still escapes
+    The handler answers bad input and raised extractions itself;
+    anything that still escapes
     (a router bug, RecursionError from a pathological page) must not
     kill the serving loop — or, in the async front-ends, leave a
     sequence slot un-emitted and dam every later response behind it.

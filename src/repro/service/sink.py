@@ -1,8 +1,11 @@
 """Incremental result sinks: bounded-memory output for huge runs.
 
-The batch engine streams :class:`PageRecord` objects into a sink as
-soon as each chunk completes, so a million-page run holds at most a
-few in-flight chunks in memory.  Two serialisations are provided:
+The streaming runtime writes :class:`PageRecord` objects into a sink
+as soon as each chunk completes, so a million-page run holds at most a
+few in-flight chunks in memory.  Sinks carry extraction records only:
+an extraction exception ends a batch or shard run, and ``serve``
+answers it with a :func:`make_error_record` line of its own.  Two
+serialisations are provided:
 
 * :class:`JsonlSink` — one JSON object per line, the natural format
   for piping into downstream loaders;
@@ -32,10 +35,10 @@ from repro.extraction.xml_writer import (
 def make_error_record(message: str, url: Optional[str] = None) -> dict:
     """The one shape of an error record, everywhere.
 
-    ``serve`` (sync and async), the runtime's contained-errors path and
-    shard workers all emit page-level errors through this helper so the
-    field names (``error``, optional ``url``) can never drift between
-    entry points.
+    ``serve`` (both front-ends), :meth:`~repro.service.runtime.
+    StreamingRuntime.process_page` and the multi-worker gateway emit
+    page-level errors through this helper so the field names
+    (``error``, optional ``url``) can never drift between entry points.
     """
     record: dict = {"error": message}
     if url is not None:
@@ -99,15 +102,6 @@ class ResultSink:
         """Accept one extracted record (must be overridden)."""
         raise NotImplementedError
 
-    def write_error(self, payload: dict) -> None:
-        """Accept a :func:`make_error_record` payload.
-
-        Only produced by runtimes in ``contain_errors`` mode; the
-        default discards them (batch sinks carry extraction *records*,
-        and failed pages are accounted in the run report).  Sinks that
-        interleave diagnostics with records override this.
-        """
-
     def close(self) -> None:
         """Flush and release resources (idempotent)."""
 
@@ -134,15 +128,10 @@ class CollectingSink(ResultSink):
 
     def __init__(self) -> None:
         self.records: list[PageRecord] = []
-        self.errors: list[dict] = []
 
     def write(self, record: PageRecord) -> None:
         """Keep the record in memory."""
         self.records.append(record)
-
-    def write_error(self, payload: dict) -> None:
-        """Keep an error payload in memory."""
-        self.errors.append(payload)
 
     def by_url(self) -> dict[str, PageRecord]:
         """The collected records keyed by page URL."""
@@ -177,11 +166,6 @@ class JsonlSink(ResultSink):
         self.count += 1
         if self.flush_every and self.count % self.flush_every == 0:
             self._stream.flush()
-
-    def write_error(self, payload: dict) -> None:
-        """Interleave an error record (contained-errors runtimes only)."""
-        self._stream.write(json.dumps(payload, sort_keys=True))
-        self._stream.write("\n")
 
     def close(self) -> None:
         """Close an owned stream; flush a borrowed one."""

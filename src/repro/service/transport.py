@@ -13,8 +13,8 @@ Lifecycle — the part that must never leak:
 * The parent owns every segment.  :meth:`SharedMemoryPageTransport.stage`
   creates one per chunk and tracks it under a lease;
   :meth:`~SharedMemoryPageTransport.release` (called by the runtime
-  when the chunk's future completes — success, contained error or
-  worker death alike) closes and unlinks it.
+  when the chunk's future completes — success, an extraction error
+  or worker death alike) closes and unlinks it.
 * :meth:`~SharedMemoryPageTransport.close_all` is the error-path
   sweep: the runtime calls it in its ``finally`` so cancellation or a
   crashed pool cannot strand segments in ``/dev/shm``.

@@ -548,6 +548,59 @@ def test_serve_http_end_to_end(served_site, capsys, monkeypatch):
     assert "served 1 page(s) over 1 request(s)" in err
 
 
+def test_serve_http_on_an_empty_registry_reports_its_pinned_version(
+    served_site, tmp_path, monkeypatch
+):
+    # An empty registry gets the served artifact published and pinned
+    # at start-up; /healthz must name that version, not null.
+    import socket
+    import threading
+
+    from repro.service import ArtifactRegistry
+
+    _, repo_path = served_site
+    registry_dir = tmp_path / "registry"
+    registry_dir.mkdir()
+    started = []
+    monkeypatch.setattr("repro.cli.SERVE_HTTP_STARTED", started.append)
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main([
+        "serve", "--repository", str(repo_path), "--cluster", "imdb-movies",
+        "--registry", str(registry_dir), "--http", "127.0.0.1:0",
+    ])))
+    thread.start()
+    try:
+        deadline = time.time() + 10
+        while not started and time.time() < deadline:
+            time.sleep(0.01)
+        assert started, "serve --http never came up"
+        with socket.create_connection(
+            ("127.0.0.1", started[0].port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            sock.settimeout(10)
+            response = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                response += data
+    finally:
+        for front in started:
+            front.stop()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert codes == [0]
+    head, _, payload = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK")
+    pinned = ArtifactRegistry(registry_dir).pinned()
+    assert pinned is not None
+    assert json.loads(payload)["registry_version"] == pinned
+
+
 def test_serve_extraction_crash_emits_error_record(served_site, capsys,
                                                    monkeypatch):
     _, repo_path = served_site

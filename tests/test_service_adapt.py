@@ -13,13 +13,11 @@ from repro.clustering.features import PageSignature
 from repro.service.adapt import (
     AdaptationLog,
     AdaptiveRouter,
-    AdaptiveRouterStage,
     DriftMonitor,
     make_adapter,
 )
 from repro.service.router import UNROUTABLE, ClusterProfile, ClusterRouter
 from repro.service.serve import ServeHandler, serve_async
-from repro.service.sink import PageRecord
 from repro.sites.page import WebPage
 from repro.sites.variation import DEPTH_COMPONENTS, generate_depth_cluster
 
@@ -381,17 +379,12 @@ class TestAdaptiveRouter:
         assert adaptive.routed_pages == 3
 
     def test_stage_failure_feedback_triggers_refit(self):
+        # Extraction feedback (what the runtime's outcome step sends
+        # for every page with a component failure) drives the
+        # cluster's failure window on its own.
         adaptive = self._adaptive()
-        stage = adaptive.stage()
-        assert isinstance(stage, AdaptiveRouterStage)
-        for index in range(6):
-            record = PageRecord(
-                url=f"http://alpha.example.org/alpha/p{index}/",
-                cluster="alpha",
-                values={"x": []},
-                failures=[("x", "mandatory-missing")],
-            )
-            assert stage(record) is record  # records pass unchanged
+        for _ in range(6):
+            adaptive.note_result("alpha", True)
         assert adaptive.drift_events == 1
         assert adaptive.refits == 1
         assert adaptive.log.events[0]["kind"] == "cluster-failure"
@@ -464,14 +457,9 @@ class TestAdaptiveRouter:
         # reaches 1.0 instead of being capped at 0.5 by interleaved
         # good margin observations.
         adaptive = self._adaptive(low_margin=0.0001)
-        stage = adaptive.stage()
         for index in range(6):
             adaptive.route(_page("alpha", index))  # margin fine: good
-            stage(PageRecord(
-                url=f"http://alpha.example.org/alpha/p{index}/",
-                cluster="alpha", values={},
-                failures=[("x", "mandatory-missing")],
-            ))
+            adaptive.note_result("alpha", True)
         drift = [e for e in adaptive.log.events if e["event"] == "drift"]
         assert [e["kind"] for e in drift] == ["cluster-failure"]
         assert drift[0]["rate"] == 1.0
@@ -585,15 +573,10 @@ class TestEntryPointWiring:
     def test_contained_extraction_errors_feed_the_drift_monitor(
         self, service_site, service_repository, monkeypatch
     ):
-        # An extraction that *raises* (contained-errors mode) never
-        # reaches the stage pipeline; the runtime must report it to
-        # the adapter directly or exception-class drift is invisible.
+        # An extraction that *raises* in serve becomes an error record
+        # and produces no PageRecord; process_page must still report
+        # it to the adapter, or exception-class drift is invisible.
         from repro.service.compiler import CompiledWrapper
-        from repro.service.runtime import (
-            IterablePageSource,
-            StreamingRuntime,
-        )
-        from repro.service.adapt import DriftMonitor
 
         def boom(self, page, failures=None):
             raise RuntimeError("template changed under the wrapper")
@@ -606,13 +589,12 @@ class TestEntryPointWiring:
                 window=8, failure_threshold=0.5, min_samples=4
             ),
         )
-        runtime = StreamingRuntime(
-            service_repository, executor="inline",
-            contain_errors=True, adapter=adapter,
-        )
-        report = runtime.run(IterablePageSource(pages[:8]))
-        assert report.errors_count == 8
-        assert report.drift_events >= 1
+        handler = ServeHandler(service_repository, adapter=adapter)
+        for page in pages[:8]:
+            line, served = handler.handle_page(page)
+            assert not served
+            assert "template changed" in json.loads(line)["error"]
+        assert adapter.drift_events >= 1
         assert adapter.log.events[0]["kind"] == "cluster-failure"
         assert adapter.log.events[0]["key"] == "imdb-movies"
 

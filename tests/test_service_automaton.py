@@ -9,6 +9,7 @@ from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
 from repro.extraction.extractor import ExtractionProcessor
+from repro.extraction.postprocess import PostProcessor, split_list
 from repro.service.automaton import (
     ExtractionAutomaton,
     automaton_steps,
@@ -17,6 +18,8 @@ from repro.service.automaton import (
     _UNBOUNDED,
 )
 from repro.service.metrics import ProgressEmitter
+from repro.service.runtime import IterablePageSource, StreamingRuntime
+from repro.service.serve import ServeHandler
 from repro.sites import (
     generate_imdb_site,
     generate_news_site,
@@ -190,21 +193,105 @@ def _outcome(extraction):
     )
 
 
+@pytest.fixture(scope="module")
+def family():
+    """``family(site_factory, cluster, components) -> (pages, rules)``.
+
+    Each family's pages and offline-built rules are built once per
+    module and shared by the sweeps below.
+    """
+    built: dict = {}
+
+    def build(site_factory, cluster: str, components: list):
+        if cluster not in built:
+            pages = site_factory().pages_with_hint(cluster)
+            repository = RuleRepository()
+            report = MappingRuleBuilder(
+                pages[:8], ScriptedOracle(), repository=repository,
+                cluster_name=cluster, seed=1,
+            ).build_all(components)
+            assert report.failed_components == []
+            built[cluster] = pages, repository
+        return built[cluster]
+
+    return build
+
+
+def _served_line(url, cluster, values, failures) -> str:
+    """A record as ``serve`` writes it (a batch record minus index)."""
+    return json.dumps({
+        "url": url, "cluster": cluster, "values": values,
+        "failures": [list(failure) for failure in failures],
+    }, sort_keys=True)
+
+
+def _upper_and_split(components: list) -> PostProcessor:
+    """A transform on every component, a splitter on the last one."""
+    post = PostProcessor()
+    for name in components:
+        post.register(name, str.upper)
+    post.register_splitter(components[-1], split_list(","))
+    return post
+
+
 class TestByteIdentitySweep:
     @pytest.mark.parametrize("site_factory, cluster, components",
                              SITE_FAMILIES)
-    def test_all_families_identical(self, site_factory, cluster, components):
-        pages = site_factory().pages_with_hint(cluster)
-        repository = RuleRepository()
-        report = MappingRuleBuilder(
-            pages[:8], ScriptedOracle(), repository=repository,
-            cluster_name=cluster, seed=1,
-        ).build_all(components)
-        assert report.failed_components == []
+    def test_all_families_identical(self, family, site_factory, cluster,
+                                    components):
+        pages, repository = family(site_factory, cluster, components)
         stream = pages + MALFORMED
         sequential = ExtractionProcessor(repository, cluster).extract(stream)
         compiled = repository.compile_cluster(cluster).extract(stream)
         assert _outcome(compiled) == _outcome(sequential)
+
+    @pytest.mark.parametrize("post", [False, True],
+                             ids=["raw", "postprocessed"])
+    @pytest.mark.parametrize("site_factory, cluster, components",
+                             SITE_FAMILIES)
+    def test_serve_and_every_executor_give_the_same_bytes(
+        self, family, site_factory, cluster, components, post
+    ):
+        # serve, an inline run() and a process run() share one route
+        # step and one outcome step (post-processing included); all
+        # three must answer every page exactly as the processor does.
+        pages, repository = family(site_factory, cluster, components)
+        postprocessor = _upper_and_split(components) if post else None
+        stream = pages + MALFORMED
+        processor = ExtractionProcessor(
+            repository, cluster, postprocessor=postprocessor
+        )
+        expected = []
+        for page in stream:
+            failures: list = []
+            values = processor.extract_page(page, failures).values
+            expected.append(_served_line(
+                page.url, cluster, values,
+                [(f.component_name, f.reason) for f in failures],
+            ))
+        handler = ServeHandler(
+            repository, cluster=cluster, postprocessor=postprocessor
+        )
+        served = [
+            handler.handle_line(
+                json.dumps({"url": page.url, "html": page.html})
+            )[0]
+            for page in stream
+        ]
+        assert served == expected
+        for executor in ("inline", "process"):
+            runtime = StreamingRuntime(
+                repository, postprocessor=postprocessor, executor=executor,
+                workers=2, chunk_size=8, ordered=True,
+            )
+            _, records = runtime.run_collect(IterablePageSource(
+                WebPage(url=page.url, html=page.html, cluster_hint=cluster)
+                for page in stream
+            ))
+            assert [
+                _served_line(r.url, r.cluster, r.values, r.failures)
+                for r in records
+            ] == expected, executor
 
 
 class TestCompilerStats:

@@ -153,20 +153,29 @@ class TestByteIdentity:
 
     def test_identical_with_postprocessor(self, service_repository,
                                           movie_pages_large):
+        # Wrappers carry no post-processing; the runtime applies the
+        # chains once per page, the same way for every executor and
+        # for process_page.
+        from repro.service.runtime import IterablePageSource, StreamingRuntime
+
         post = PostProcessor()
         post.register("rating", regex_extractor(r"([\d.]+)/10"))
         post.register_splitter("genres", split_list(","))
         processor = ExtractionProcessor(
             service_repository, "imdb-movies", postprocessor=post
         )
-        wrapper = service_repository.compile_cluster(
-            "imdb-movies", postprocessor=post
-        )
-        for page in movie_pages_large[:30]:
-            assert (
-                wrapper.extract_page(page).values
-                == processor.extract_page(page).values
+        pages = movie_pages_large[:30]
+        expected = [processor.extract_page(page).values for page in pages]
+        for executor in ("inline", "process"):
+            runtime = StreamingRuntime(
+                service_repository, postprocessor=post, executor=executor,
+                workers=2, chunk_size=8, ordered=True,
             )
+            _, records = runtime.run_collect(IterablePageSource(pages))
+            assert [record.values for record in records] == expected
+        assert [
+            runtime.process_page(page).values for page in pages
+        ] == expected
 
     def test_alternative_locations_fall_back(self):
         repository = _repo(

@@ -276,6 +276,40 @@ class TestRuntimeInstrumentation:
         key = 'repro_extract_seconds_count{cluster="imdb-movies"}'
         assert extract[key] == 10
 
+    def test_extract_seconds_are_observed_per_page(
+        self, service_repository, service_site, monkeypatch
+    ):
+        # One slow page in a four-page chunk must show as one slow
+        # observation, not as a chunk average smeared over all four.
+        from repro.service.compiler import CompiledWrapper
+
+        pages = service_site.pages_with_hint("imdb-movies")[:4]
+        for page in pages:
+            page.root_element  # parse outside the extraction timer
+        slow_url = pages[2].url
+        extract_page = CompiledWrapper.extract_page
+
+        def slow_extract(self, page, failures=None):
+            if page.url == slow_url:
+                time.sleep(0.06)
+            return extract_page(self, page, failures)
+
+        monkeypatch.setattr(CompiledWrapper, "extract_page", slow_extract)
+        registry = MetricsRegistry()
+        runtime = StreamingRuntime(
+            service_repository, executor="inline", chunk_size=4,
+            metrics=registry,
+        )
+        runtime.run(IterablePageSource(pages), CollectingSink())
+        extract = _values(
+            parse_exposition(registry.render()), "repro_extract_seconds"
+        )
+        series = 'repro_extract_seconds_bucket{cluster="imdb-movies",le="%s"}'
+        assert extract[series % "0.01"] == 3
+        assert extract[series % "0.05"] == 3
+        assert extract['repro_extract_seconds_count{cluster="imdb-movies"}'] \
+            == 4
+
     def test_skipped_pages_are_counted(self, service_repository):
         registry = MetricsRegistry()
         # Routed by hint to a cluster the repository has no rules for.
@@ -455,7 +489,6 @@ class TestProgressEmitter:
         class _Report:
             total_pages = pages
             unroutable_count = 0
-            errors_count = 0
             pages_served = pages
         return _Report()
 

@@ -1,10 +1,11 @@
-"""The streaming runtime: sources, ordered emission, executors, stages."""
+"""The streaming runtime: sources, ordered emission, executors, one page."""
 
 import random
 
 import pytest
 
 from repro.service.compiler import CompiledWrapper
+from repro.service.metrics import MetricsRegistry, parse_exposition
 from repro.service.runtime import (
     IterablePageSource,
     LoadingPageSource,
@@ -46,9 +47,9 @@ class TestOrderedEmitter:
         assert emitter.held == 0
 
     def test_failure_gaps_do_not_stall_the_stream(self):
-        # Even sequence numbers are dropped outcomes (unroutable pages,
-        # contained errors, stage drops): the buffer must release past
-        # them without emitting anything.
+        # Even sequence numbers are dropped outcomes (unroutable
+        # pages): the buffer must release past them without emitting
+        # anything.
         out = []
         emitter = OrderedEmitter(out.append)
         seqs = list(range(20))
@@ -75,7 +76,7 @@ class TestOrderedEmitter:
         assert len(out) == 5
 
     # -- error payloads at boundary sequences --------------------------- #
-    # Contained-errors mode routes error dicts through the same reorder
+    # The serve pipeline routes error lines through the same reorder
     # buffer as records; the boundary slots are where release/hold
     # logic can go wrong.
 
@@ -236,69 +237,6 @@ class TestStreamingRuntime:
         _, records = runtime.run_collect(PairSource())
         assert [r.index for r in records] == [index for index, _ in items]
 
-    def test_contain_errors_emits_error_records_without_stalling(
-        self, movie_pages_30, service_repository, monkeypatch
-    ):
-        victim = movie_pages_30[4].url
-        original = CompiledWrapper.extract_page
-
-        def flaky(self, page, failures=None):
-            if page.url == victim:
-                raise RuntimeError("wrapper exploded")
-            return original(self, page, failures)
-
-        monkeypatch.setattr(CompiledWrapper, "extract_page", flaky)
-        runtime = StreamingRuntime(
-            service_repository, workers=2, chunk_size=3,
-            ordered=True, contain_errors=True,
-        )
-        sink = CollectingSink()
-        report = runtime.run(IterablePageSource(movie_pages_30), sink)
-        assert report.errors_count == 1
-        assert report.errors == [victim]
-        assert "extraction error: 1" in report.summary()
-        (error,) = sink.errors
-        assert error["url"] == victim
-        assert "wrapper exploded" in error["error"]
-        # The failed page leaves an index gap; ordering survives it.
-        indices = [record.index for record in sink.records]
-        assert indices == sorted(indices)
-        assert len(sink.records) == len(movie_pages_30) - 1
-        assert 4 not in indices
-
-    def test_contained_error_records_keep_submission_order(
-        self, movie_pages_30, service_repository, monkeypatch
-    ):
-        import io
-        import json
-
-        from repro.service.sink import JsonlSink
-
-        victim = movie_pages_30[4].url
-        original = CompiledWrapper.extract_page
-
-        def flaky(self, page, failures=None):
-            if page.url == victim:
-                raise RuntimeError("boom")
-            return original(self, page, failures)
-
-        monkeypatch.setattr(CompiledWrapper, "extract_page", flaky)
-        runtime = StreamingRuntime(
-            service_repository, workers=2, chunk_size=3,
-            ordered=True, contain_errors=True,
-        )
-        stream = io.StringIO()
-        with JsonlSink(stream) as sink:
-            runtime.run(IterablePageSource(movie_pages_30), sink)
-        lines = [json.loads(line) for line in
-                 stream.getvalue().strip().splitlines()]
-        # The error line lands exactly at its page's stream position.
-        assert "error" in lines[4]
-        assert [line["index"] for line in lines[:4]] == [0, 1, 2, 3]
-        assert [line["index"] for line in lines[5:]] == list(
-            range(5, len(movie_pages_30))
-        )
-
     def test_extraction_exception_propagates_without_containment(
         self, movie_pages_30, service_repository, monkeypatch
     ):
@@ -309,49 +247,6 @@ class TestStreamingRuntime:
         runtime = StreamingRuntime(service_repository, executor="inline")
         with pytest.raises(RuntimeError, match="wrapper exploded"):
             runtime.run(IterablePageSource(movie_pages_30[:2]))
-
-    def test_stage_transforms_records_before_emission(
-        self, movie_pages_30, service_repository
-    ):
-        def shout_titles(record):
-            record.values = {
-                name: [value.upper() for value in values]
-                if name == "title" else values
-                for name, values in record.values.items()
-            }
-            return record
-
-        runtime = StreamingRuntime(
-            service_repository, executor="inline", stages=[shout_titles]
-        )
-        _, records = runtime.run_collect(
-            IterablePageSource(movie_pages_30[:5])
-        )
-        assert records
-        for record in records:
-            for value in record.values["title"]:
-                assert value == value.upper()
-
-    def test_stage_drops_are_counted_and_never_stall(
-        self, movie_pages_30, service_repository
-    ):
-        def drop_odd(record):
-            return None if record.index % 2 else record
-
-        runtime = StreamingRuntime(
-            service_repository, workers=3, chunk_size=4,
-            ordered=True, stages=[drop_odd],
-        )
-        report, records = runtime.run_collect(
-            IterablePageSource(movie_pages_30)
-        )
-        assert report.dropped_count == len(movie_pages_30) // 2
-        assert "stage-dropped" in report.summary()
-        assert [record.index for record in records] == list(
-            range(0, len(movie_pages_30), 2)
-        )
-        # Dropped records never reached the sink, so served < routed.
-        assert report.pages_served == len(records)
 
     def test_quiet_cluster_never_dams_ordered_emission(
         self, service_site, service_repository
@@ -395,3 +290,94 @@ class TestStreamingRuntime:
     def test_inline_runtime_reports_clusters(self, service_repository):
         runtime = StreamingRuntime(service_repository, executor="inline")
         assert set(runtime.clusters()) == set(service_repository.clusters())
+
+
+class TestProcessPage:
+    """One page through the route and outcome steps ``run()`` uses."""
+
+    def test_record_matches_the_run_record(
+        self, movie_pages_30, service_repository
+    ):
+        runtime = StreamingRuntime(
+            service_repository, executor="inline", ordered=True
+        )
+        _, records = runtime.run_collect(IterablePageSource(movie_pages_30))
+        for page, record in zip(movie_pages_30, records):
+            single = runtime.process_page(page)
+            assert isinstance(single, PageRecord)
+            assert single.index == -1
+            assert (single.url, single.cluster, single.values,
+                    single.failures) == (record.url, record.cluster,
+                                         record.values, record.failures)
+
+    def test_concurrent_calls_agree_with_sequential_ones(
+        self, movie_pages_30, service_repository
+    ):
+        # The serve front-ends call process_page from many threads: no
+        # answer may differ from a sequential call, and no count may
+        # be lost.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        registry = MetricsRegistry()
+        runtime = StreamingRuntime(
+            service_repository, executor="inline", metrics=registry
+        )
+        sequential = [runtime.process_page(page) for page in movie_pages_30]
+        pages = movie_pages_30 * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                concurrent = list(pool.map(runtime.process_page, pages))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential * 4
+        parsed = parse_exposition(registry.render())
+        calls = len(movie_pages_30) + len(pages)
+        key = '{cluster="imdb-movies"}'
+        assert parsed["repro_pages_routed_total"][
+            "repro_pages_routed_total" + key
+        ] == calls
+        assert parsed["repro_extract_seconds"][
+            "repro_extract_seconds_count" + key
+        ] == calls
+
+    def test_unroutable_and_unserved_pages_yield_none(
+        self, service_repository
+    ):
+        registry = MetricsRegistry()
+        runtime = StreamingRuntime(
+            service_repository, executor="inline", metrics=registry
+        )
+        stray = WebPage(url="http://x/?", html="<p>?</p>")
+        unserved = WebPage(url="http://x/s", html="<p>s</p>",
+                           cluster_hint="imdb-search")
+        assert runtime.process_page(stray) is None
+        assert runtime.process_page(unserved) is None
+        parsed = parse_exposition(registry.render())
+        assert parsed["repro_pages_unroutable_total"] == {
+            "repro_pages_unroutable_total": 1
+        }
+        assert parsed["repro_pages_skipped_total"] == {
+            "repro_pages_skipped_total": 1
+        }
+
+    def test_raised_extraction_becomes_an_error_record(
+        self, movie_pages_30, service_repository, monkeypatch
+    ):
+        def boom(self, page, failures=None):
+            raise RuntimeError("wrapper exploded")
+
+        monkeypatch.setattr(CompiledWrapper, "extract_page", boom)
+        registry = MetricsRegistry()
+        runtime = StreamingRuntime(
+            service_repository, executor="inline", metrics=registry
+        )
+        page = movie_pages_30[0]
+        assert runtime.process_page(page) == {
+            "error": "RuntimeError: wrapper exploded", "url": page.url,
+        }
+        parsed = parse_exposition(registry.render())
+        failed = parsed["repro_pages_failed_total"]
+        assert failed['repro_pages_failed_total{cluster="imdb-movies"}'] == 1

@@ -184,24 +184,3 @@ class TestErrorRecords:
             "url": "http://x/", "cluster": "unroutable",
             "values": {}, "failures": [],
         }
-
-    def test_jsonl_sink_interleaves_error_records(self):
-        from repro.service.sink import make_error_record
-
-        stream = io.StringIO()
-        with JsonlSink(stream) as sink:
-            sink.write(_record(url="http://x/1"))
-            sink.write_error(make_error_record("boom", url="http://x/2"))
-        first, second = stream.getvalue().strip().splitlines()
-        assert json.loads(first)["url"] == "http://x/1"
-        assert json.loads(second) == {"error": "boom", "url": "http://x/2"}
-        assert sink.count == 1  # error lines are not records
-
-    def test_default_sinks_discard_error_records(self):
-        sink = NullSink()
-        sink.write_error({"error": "boom"})  # the base no-op
-        assert sink.count == 0
-        collecting = CollectingSink()
-        collecting.write_error({"error": "boom"})
-        assert collecting.records == []
-        assert collecting.errors == [{"error": "boom"}]

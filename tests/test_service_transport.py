@@ -155,15 +155,16 @@ class TestWorkerSide:
         staged = transport.stage(chunk)
         try:
             shm_outcomes, _, _ = _process_chunk_shm(
-                "imdb-movies", staged.payload, False
+                "imdb-movies", staged.payload
             )
         finally:
             transport.release(staged.segment)
         legacy = [(s, i, p.url, p.html) for s, i, p in chunk]
-        pickle_outcomes, _, warm = _process_chunk(
-            "imdb-movies", legacy, False
-        )
-        assert shm_outcomes == pickle_outcomes
+        pickle_outcomes, _, warm = _process_chunk("imdb-movies", legacy)
+        # Everything but the per-page extraction seconds (last slot).
+        assert [outcome[:-1] for outcome in shm_outcomes] == [
+            outcome[:-1] for outcome in pickle_outcomes
+        ]
         assert warm  # second chunk reuses the compiled wrapper
 
 
@@ -182,17 +183,6 @@ class TestRuntimeLifecycle:
         report, records = runtime.run_collect(self._source(service_site))
         assert report.pages_served == 40
         assert records
-        assert runtime._transport.active == 0
-        assert not _stray_segments()
-
-    def test_contained_errors_still_release(self, service_repository,
-                                            service_site):
-        runtime = StreamingRuntime(
-            service_repository, workers=2, executor="process",
-            chunk_size=4, contain_errors=True, metrics=MetricsRegistry(),
-        )
-        report, _ = runtime.run_collect(self._source(service_site, 16))
-        assert report.pages_served == 16
         assert runtime._transport.active == 0
         assert not _stray_segments()
 
