@@ -6,16 +6,17 @@ Measures pages/second over a two-cluster synthetic site for:
   re-walking rule locations page by page);
 * one compiled wrapper on one thread (isolates the compilation win:
   pre-parsed ASTs + the single-pass automaton);
-* a :class:`StreamingRuntime` over an :class:`IterablePageSource` at 2
-  and 4 thread workers.
+* a one-worker :class:`StreamingRuntime` over an
+  :class:`IterablePageSource` — the inline runtime ``batch --workers 1``
+  runs, chunking, outcome step and sink included.
 
-Pages are pre-parsed once so the runtime variants measure pure
-extraction machinery.  The acceptance bar fails the run when missed
-(this file is CI's throughput regression gate): the compiled parallel
-path must beat the sequential baseline at >= 2 workers by at least
-:data:`MIN_ENGINE_SPEEDUP` (compilation alone measured ~1.8x; the
-single-pass automaton lifted the measured figure to ~2.5-2.9x, so the
-floor ratcheted 1.3x -> 2.0x).
+Pages are pre-parsed once so the runtime variant measures pure
+extraction machinery (a process pool would re-parse every page in its
+workers).  The acceptance bar fails the run when missed (this file is
+CI's throughput regression gate): the runtime must beat the sequential
+baseline by at least :data:`MIN_ENGINE_SPEEDUP` (compilation alone
+measured ~1.8x; the single-pass automaton lifted the measured figure
+to ~2.5-2.9x, so the floor ratcheted 1.3x -> 2.0x).
 
 Measurements are also written as JSON to ``$BENCH_RESULTS`` (default
 ``bench-results/service_throughput.json``; sections merge, so every
@@ -38,7 +39,7 @@ from conftest import emit, write_results
 N_MOVIES = 200
 N_ACTORS = 60
 
-#: Regression floor: the 2-worker runtime must stay at least this much
+#: Regression floor: the inline runtime must stay at least this much
 #: faster than the sequential baseline.  Ratcheted from 1.3x when the
 #: single-pass automaton landed (measured ~2.5-2.9x; 2.5x is the
 #: stretch goal once CI variance is charted).
@@ -80,8 +81,8 @@ def _compiled_one_thread(repository, movies, actors) -> float:
     return time.perf_counter() - started
 
 
-def _engine(repository, pages, workers: int) -> float:
-    runtime = StreamingRuntime(repository, workers=workers, chunk_size=16)
+def _engine(repository, pages) -> float:
+    runtime = StreamingRuntime(repository, workers=1, chunk_size=16)
     report = runtime.run(IterablePageSource(pages), NullSink())
     assert report.pages_served == len(pages)
     return report.wall_seconds
@@ -93,16 +94,14 @@ def test_service_throughput(benchmark):
 
     seq_seconds = _sequential(repository, movies, actors)
     compiled_seconds = _compiled_one_thread(repository, movies, actors)
-    engine2_seconds = benchmark.pedantic(
-        lambda: _engine(repository, pages, workers=2),
-        rounds=1, iterations=1,
+    engine_seconds = benchmark.pedantic(
+        lambda: _engine(repository, pages), rounds=1, iterations=1,
     )
-    engine4_seconds = _engine(repository, pages, workers=4)
 
     def pps(seconds: float) -> float:
         return total / seconds
 
-    engine2_speedup = seq_seconds / engine2_seconds
+    engine_speedup = seq_seconds / engine_seconds
     emit(
         "Service throughput (pages/second, higher is better)",
         "\n".join([
@@ -110,10 +109,8 @@ def test_service_throughput(benchmark):
             f"sequential processor : {pps(seq_seconds):9.1f} p/s",
             f"compiled, 1 thread   : {pps(compiled_seconds):9.1f} p/s"
             f"  ({seq_seconds / compiled_seconds:.2f}x)",
-            f"runtime, 2 workers   : {pps(engine2_seconds):9.1f} p/s"
-            f"  ({engine2_speedup:.2f}x)",
-            f"runtime, 4 workers   : {pps(engine4_seconds):9.1f} p/s"
-            f"  ({seq_seconds / engine4_seconds:.2f}x)",
+            f"runtime, inline      : {pps(engine_seconds):9.1f} p/s"
+            f"  ({engine_speedup:.2f}x)",
         ]),
     )
     results_path = write_results({
@@ -121,22 +118,20 @@ def test_service_throughput(benchmark):
         "pages_per_second": {
             "sequential": pps(seq_seconds),
             "compiled_1_thread": pps(compiled_seconds),
-            "engine_2_workers": pps(engine2_seconds),
-            "engine_4_workers": pps(engine4_seconds),
+            "engine_inline": pps(engine_seconds),
         },
         "speedup_vs_sequential": {
             "compiled_1_thread": seq_seconds / compiled_seconds,
-            "engine_2_workers": engine2_speedup,
-            "engine_4_workers": seq_seconds / engine4_seconds,
+            "engine_inline": engine_speedup,
         },
         "min_engine_speedup": MIN_ENGINE_SPEEDUP,
     })
     print(f"results written to {results_path}")
 
-    # Regression gate: the compiled parallel path must beat the
-    # sequential baseline at >= 2 workers with margin to spare.
-    assert engine2_speedup >= MIN_ENGINE_SPEEDUP, (
-        f"runtime@2 is only {engine2_speedup:.2f}x sequential "
+    # Regression gate: the compiled runtime must beat the sequential
+    # baseline with margin to spare.
+    assert engine_speedup >= MIN_ENGINE_SPEEDUP, (
+        f"inline runtime is only {engine_speedup:.2f}x sequential "
         f"(regression floor: {MIN_ENGINE_SPEEDUP}x)"
     )
     # And compilation alone is already a win.

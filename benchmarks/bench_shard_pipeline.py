@@ -2,7 +2,7 @@
 
 A sharded run pays for manifest bookkeeping, content digests and the
 k-way merge.  This benchmark runs the same corpus through (a) one
-ordered runtime and (b) a 3-shard plan/run/merge pipeline executed
+runtime and (b) a 3-shard plan/run/merge pipeline executed
 back-to-back on one host, reports the relative overhead, and checks
 the merged stream is byte-identical to the unsharded one — the
 property that makes multi-host scaling safe.
@@ -51,7 +51,7 @@ def test_shard_pipeline_overhead(benchmark, tmp_path):
     started = time.perf_counter()
     stream = io.StringIO()
     with JsonlSink(stream) as sink:
-        StreamingRuntime(repository, workers=2, ordered=True).run(
+        StreamingRuntime(repository).run(
             IterablePageSource(pages), sink
         )
     unsharded_seconds = time.perf_counter() - started
@@ -62,7 +62,7 @@ def test_shard_pipeline_overhead(benchmark, tmp_path):
         plan = ShardPlanner(SHARDS, "hash").plan([p.url for p in pages])
         directory = tmp_path / "shards"
         for shard in range(SHARDS):
-            ShardWorker(repository, plan, shard, workers=2).run(
+            ShardWorker(repository, plan, shard).run(
                 lambda url: by_url[url], directory
             )
         merged = io.StringIO()
@@ -75,7 +75,7 @@ def test_shard_pipeline_overhead(benchmark, tmp_path):
         "Shard pipeline (one host, back-to-back workers)",
         "\n".join([
             f"pages: {len(pages)}, shards: {SHARDS}",
-            f"unsharded ordered runtime: {unsharded_seconds:.3f}s",
+            f"unsharded runtime        : {unsharded_seconds:.3f}s",
             f"plan + run x{SHARDS} + merge    : {sharded_seconds:.3f}s"
             f"  ({sharded_seconds / unsharded_seconds:.2f}x)",
             "merged output byte-identical to unsharded run: yes",

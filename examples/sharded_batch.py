@@ -2,7 +2,7 @@
 
 Simulates the three-command multi-host recipe (see README "Scaling out
 with shards") in a single process: plan a corpus into three shards,
-run each shard through its own ordered runtime — in production each of
+run each shard through its own runtime — in production each of
 these runs on a different host — then mergesort the outputs and check
 the merged stream is byte-identical to an unsharded run.
 
@@ -46,7 +46,7 @@ def main() -> None:
     # 2. run: one worker per shard (each would be its own host)
     shard_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
     for shard in range(plan.shards):
-        worker = ShardWorker(repository, plan, shard, workers=2)
+        worker = ShardWorker(repository, plan, shard)
         manifest, _ = worker.run(lambda url: by_url[url], shard_dir)
         print(
             f"shard {manifest.shard}: {manifest.records} record(s), "
@@ -62,7 +62,7 @@ def main() -> None:
     # The point of it all: byte-identity with the unsharded run.
     unsharded = io.StringIO()
     with JsonlSink(unsharded) as sink:
-        StreamingRuntime(repository, workers=4, ordered=True).run(
+        StreamingRuntime(repository, workers=4).run(
             IterablePageSource(pages), sink
         )
     assert merged.getvalue() == unsharded.getvalue()

@@ -544,15 +544,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         if adapter is None:
             return 2
     try:
-        # ``ordered=True``: records leave in submission-index order, so
-        # this output is byte-identical to a merged ``shard`` run.
+        # Records leave in submission-index order, so this output is
+        # byte-identical to a merged ``shard`` run.
         runtime = StreamingRuntime(
             repository,
             router=None if adapter is not None else router,
             workers=args.workers,
-            executor=args.executor,
             chunk_size=args.chunk_size,
-            ordered=True,
             adapter=adapter,
         )
         _attach_adapter_log(adapter, args)
@@ -733,7 +731,6 @@ def _run_one_shard(args, directory, plan, repository, router,
             repository, plan, shard,
             router=None if adapter is not None else router,
             workers=args.workers,
-            executor=args.executor,
             chunk_size=args.chunk_size,
             skip_unreadable=True,
             adapter=adapter,
@@ -1552,6 +1549,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------- #
 
 
+#: ``--workers`` help, shared by batch and the shards.
+WORKERS_HELP = "1 extracts inline; N > 1 on an N-process pool"
+
+
 def _observability_arguments(parser) -> None:
     """``--progress`` / ``--metrics``, shared by batch and the shards."""
     parser.add_argument("--progress", type=int, default=0, metavar="N",
@@ -1660,9 +1661,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: stdout)")
     batch.add_argument("--xml-dir", default="",
                        help="write per-cluster Figure-5 XML documents here")
-    batch.add_argument("--workers", type=int, default=2)
-    batch.add_argument("--executor", choices=["thread", "process"],
-                       default="thread")
+    batch.add_argument("--workers", type=int, default=2,
+                       help=WORKERS_HELP)
     batch.add_argument("--chunk-size", type=int, default=16)
     batch.add_argument("--route", choices=["auto", "hint"], default="auto",
                        help="auto: fit a signature router from labelled "
@@ -1704,10 +1704,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="jsonl: one record file; xml: a "
                                        "directory of per-cluster Figure-5 "
                                        "documents + .index sidecars")
-        shard_parser.add_argument("--workers", type=int, default=2)
-        shard_parser.add_argument("--executor",
-                                  choices=["thread", "process"],
-                                  default="thread")
+        shard_parser.add_argument("--workers", type=int, default=2,
+                                  help=WORKERS_HELP)
         shard_parser.add_argument("--chunk-size", type=int, default=16)
         shard_parser.add_argument("--route", choices=["auto", "hint"],
                                   default="auto")

@@ -129,10 +129,6 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
         "Pages extracted through the single-pass automaton scan.",
     ),
     MetricSpec(
-        "repro_chunks_cold_total", "counter", ("cluster",),
-        "Chunks that paid worker wrapper-compile (warm-up) cost.",
-    ),
-    MetricSpec(
         "repro_transport_chunks_total", "counter", ("kind",),
         "Process-executor chunks shipped, by transport kind "
         "(shm or pickle).",

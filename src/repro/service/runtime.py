@@ -22,21 +22,20 @@ feedback, the record) serve both ways in:
   (:mod:`repro.service.serve`) calls it per request, under the
   ``asyncio`` stdin front-end or the HTTP ingress.
 
-Executors are pluggable: ``"inline"`` runs chunks on the calling
-thread (tests, small runs), ``"thread"`` shares parsed DOMs across a
-pool, ``"process"`` re-parses in workers for real multi-core
-parallelism, receiving page bytes through shared memory
-(:mod:`repro.service.transport`).  Emission is unordered (records
-leave as chunks complete) or ordered (an :class:`OrderedEmitter`
-reorder buffer releases records in submission order — the property
-that makes sharded runs mergeable).
+``run()`` cuts the routed stream into contiguous chunks of
+``(index, cluster, page)`` and drains them first in, first out, so
+records reach the sink in submission order whatever the executor —
+the property that makes sharded runs mergeable.  ``workers`` picks the
+executor: 1 runs chunks on the calling thread, N > 1 on an N-process
+pool whose workers re-parse the HTML they receive through shared
+memory (:mod:`repro.service.transport`).
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -62,7 +61,11 @@ from repro.service.sink import (
     ResultSink,
     make_error_record,
 )
-from repro.service.transport import SharedMemoryPageTransport, load_shm_chunk
+from repro.service.transport import (
+    ChunkItem,
+    SharedMemoryPageTransport,
+    load_shm_chunk,
+)
 from repro.sites.page import WebPage
 
 #: What a source yields: (global submission index, page).  Indices must
@@ -70,10 +73,10 @@ from repro.sites.page import WebPage
 #: skipped files leave gaps).
 SourceItem = Tuple[int, WebPage]
 
-#: A worker's outcome for one page: (sequence, global index, url,
+#: A worker's outcome for one page: (global index, cluster, url,
 #: values, failures, extraction seconds).  Values are the wrapper's
 #: raw texts; post-processing happens in the outcome step.
-_Outcome = tuple[int, int, str, dict, list, float]
+_Outcome = tuple[int, str, str, dict, list, float]
 
 
 @runtime_checkable
@@ -156,25 +159,22 @@ class LoadingPageSource:
 
 
 # --------------------------------------------------------------------- #
-# Ordered emission
+# Ordered emission (the stdin serve loop's reorder buffer)
 # --------------------------------------------------------------------- #
 
 
 class OrderedEmitter:
     """Release payloads in strictly increasing sequence order.
 
-    Producers complete out of order (chunks from different clusters
-    interleave; async serve tasks finish whenever); this buffer holds a
-    completed payload until every earlier sequence number has been
-    emitted or declared dropped (``None`` — an unroutable page consumes
-    a sequence slot but produces no payload, so gaps never stall the
-    stream).
+    Producers complete out of order (the stdin serve loop's request
+    tasks finish whenever); this buffer holds a completed payload
+    until every earlier sequence number has been emitted or declared
+    dropped (``None`` — a slot that produces no payload, so gaps never
+    stall the stream).
 
     Worst-case held-payload count is bounded by the payloads deferred
     behind the oldest incomplete sequence number — small for balanced
-    streams; held items are slim records or lines, never DOMs.  The
-    runtime keys this by an internal dense sequence counter (not the
-    sparse global index), so shard slices order correctly too.
+    streams; held items are slim records or lines, never DOMs.
     """
 
     def __init__(self, write: Callable[[object], None]) -> None:
@@ -222,28 +222,19 @@ class OrderedEmitter:
 class ClusterStats:
     """Throughput/error accounting for one served cluster.
 
-    Chunks served by a worker that had to compile the cluster's wrapper
-    first are *cold*: their pages and seconds are still counted in the
-    totals, but the throughput figure prefers the warm-only numbers so
-    one-off warm-up cost cannot skew per-cluster pages/sec.
+    ``worker_seconds`` sums the pages' own extraction times — the
+    samples ``repro_extract_seconds`` observes — so the run report and
+    ``/metrics`` tell one story.
     """
 
     pages: int = 0
     values: int = 0
     failures: int = 0
-    chunks: int = 0
     worker_seconds: float = 0.0
-    #: Chunks that paid a wrapper compile in their worker.
-    cold_chunks: int = 0
-    #: Pages/seconds from warm chunks only (throughput basis).
-    warm_pages: int = 0
-    warm_seconds: float = 0.0
 
     @property
     def pages_per_second(self) -> float:
-        """Worker throughput (warm chunks when any, else all chunks)."""
-        if self.warm_seconds > 0:
-            return self.warm_pages / self.warm_seconds
+        """Worker throughput: pages over their extraction seconds."""
         if self.worker_seconds <= 0:
             return 0.0
         return self.pages / self.worker_seconds
@@ -335,76 +326,46 @@ class RuntimeReport:
 # Extraction workers (shared by every executor kind)
 # --------------------------------------------------------------------- #
 
-# Compiled wrappers hold DOM-walking closures and are rebuilt per
-# process from the repository's plain-dict form; HTML is re-parsed in
-# the worker.  Post-processing always runs in the parent, in the
-# outcome step (transform chains may be arbitrary closures).
+# Compiled wrappers hold DOM-walking closures, so each process worker
+# compiles every cluster's wrapper once, at start-up, from the
+# repository's plain-dict form; HTML is re-parsed in the worker.
+# Post-processing always runs in the parent, in the outcome step
+# (transform chains may be arbitrary closures).
 
-_WORKER_REPOSITORY: Optional[RuleRepository] = None
 _WORKER_WRAPPERS: Dict[str, CompiledWrapper] = {}
 
 
 def _init_process_worker(repository_data: dict) -> None:
-    global _WORKER_REPOSITORY, _WORKER_WRAPPERS
-    _WORKER_REPOSITORY = RuleRepository.from_dict(repository_data)
-    _WORKER_WRAPPERS = {}
+    global _WORKER_WRAPPERS
+    _WORKER_WRAPPERS = RuleRepository.from_dict(repository_data).compile_all()
 
 
-def _worker_wrapper(cluster: str) -> tuple[CompiledWrapper, bool]:
-    """This worker's wrapper for ``cluster``, plus whether it was warm.
-
-    The first chunk a worker sees for a cluster pays the wrapper
-    compile; the ``warm`` flag lets the parent keep that chunk out of
-    the per-cluster throughput stats (warm-up skew otherwise drags the
-    early pages/sec numbers down).
-    """
-    assert _WORKER_REPOSITORY is not None, "worker not initialised"
-    wrapper = _WORKER_WRAPPERS.get(cluster)
-    warm = wrapper is not None
-    if wrapper is None:
-        wrapper = _WORKER_REPOSITORY.compile_cluster(cluster)
-        _WORKER_WRAPPERS[cluster] = wrapper
-    return wrapper, warm
-
-
-def _process_chunk(
-    cluster: str, payload: list[tuple[int, int, str, str]]
-) -> tuple[list[_Outcome], float, bool]:
-    wrapper, warm = _worker_wrapper(cluster)
-    # Timer starts after the one-off wrapper compile so worker
-    # throughput stats reflect extraction, not warm-up.
-    started = time.perf_counter()
-    outcomes = _extract_chunk(
-        wrapper,
+def _process_chunk(payload: list[tuple[int, str, str, str]]) -> list[_Outcome]:
+    return _extract_chunk(
+        _WORKER_WRAPPERS,
         [
-            (seq, index, WebPage(url=url, html=html))
-            for seq, index, url, html in payload
+            (index, cluster, WebPage(url=url, html=html))
+            for index, cluster, url, html in payload
         ],
     )
-    return outcomes, time.perf_counter() - started, warm
 
 
-def _process_chunk_shm(
-    cluster: str, payload: tuple
-) -> tuple[list[_Outcome], float, bool]:
+def _process_chunk_shm(payload: tuple) -> list[_Outcome]:
     """Like :func:`_process_chunk`, pages read from shared memory."""
-    wrapper, warm = _worker_wrapper(cluster)
     name, entries = payload
-    started = time.perf_counter()
-    outcomes = _extract_chunk(wrapper, load_shm_chunk(name, entries))
-    return outcomes, time.perf_counter() - started, warm
+    return _extract_chunk(_WORKER_WRAPPERS, load_shm_chunk(name, entries))
 
 
 def _extract_one(
-    wrapper: CompiledWrapper, seq: int, index: int, page: WebPage
+    wrapper: CompiledWrapper, index: int, cluster: str, page: WebPage
 ) -> _Outcome:
     failures: list = []
     started = time.perf_counter()
     extracted = wrapper.extract_page(page, failures)
     seconds = time.perf_counter() - started
     return (
-        seq,
         index,
+        cluster,
         page.url,
         extracted.values,
         [(f.component_name, f.reason) for f in failures],
@@ -413,11 +374,11 @@ def _extract_one(
 
 
 def _extract_chunk(
-    wrapper: CompiledWrapper, pages: list[tuple[int, int, WebPage]]
+    wrappers: Dict[str, CompiledWrapper], items: list[ChunkItem]
 ) -> list[_Outcome]:
     return [
-        _extract_one(wrapper, seq, index, page)
-        for seq, index, page in pages
+        _extract_one(wrappers[cluster], index, cluster, page)
+        for index, cluster, page in items
     ]
 
 
@@ -445,10 +406,7 @@ class _ImmediateFuture:
 
 
 class _InlineExecutor:
-    """Chunk execution on the calling thread — no pool, no handoff.
-
-    The right executor for small runs and deterministic tests.
-    """
+    """Chunk execution on the calling thread — no pool, no handoff."""
 
     def submit(self, fn: Callable, *args) -> _ImmediateFuture:
         """Run ``fn`` immediately; returns the completed future."""
@@ -459,7 +417,7 @@ class _InlineExecutor:
         pass
 
 
-EXECUTOR_KINDS = ("inline", "thread", "process")
+EXECUTOR_KINDS = ("inline", "process")
 
 
 # --------------------------------------------------------------------- #
@@ -478,27 +436,23 @@ class StreamingRuntime:
         postprocessor: optional value clean-up, applied exactly as the
             sequential processor would — once per page, in the outcome
             step, whatever the executor.
-        workers: executor pool size (≥ 1; ignored by ``inline``).
-        executor: ``"inline"`` (calling thread), ``"thread"`` (default;
-            shares parsed DOMs) or ``"process"`` (re-parses in workers;
-            real parallelism on multi-core hosts; pages travel through
-            shared memory, or pickled where it is unavailable).
+        workers: 1 runs chunks inline on the calling thread; N > 1 on
+            an N-process pool (real parallelism on multi-core hosts;
+            pages travel through shared memory, or pickled where it is
+            unavailable).  At most ``4 * workers`` chunks are in
+            flight — the memory bound for arbitrarily long streams.
+        executor: ``None`` (derive it from ``workers``), or
+            ``"inline"``/``"process"`` to force one.
         chunk_size: pages per submitted work item.
-        max_pending: in-flight chunk cap (default ``4 * workers``) —
-            the memory bound for arbitrarily long streams.
-        ordered: release records to the sink in strictly increasing
-            submission order (an :class:`OrderedEmitter` over the
-            chunked drain; partial buffers damming the stream are
-            submitted early, so held records stay bounded by the
-            in-flight window).  Required for shard-mergeable output
-            (:mod:`repro.service.shard`); off by default because
-            as-completed emission is cheaper when order is noise.
+        ordered: accepted for compatibility and ignored: records always
+            leave in strictly increasing submission order, because
+            chunks are contiguous and drain first in, first out.
         adapter: an :class:`~repro.service.adapt.AdaptiveRouter`
             (mutually exclusive with ``router``): routing goes through
             it, every extracted page's outcome feeds its drift monitor
-            (:meth:`~repro.service.adapt.AdaptiveRouter.note_result`),
-            and the run report carries the drift/refit counts it
-            accumulated during the run.
+            (:meth:`~repro.service.adapt.AdaptiveRouter.note_result`)
+            as its chunk drains, and the run report carries the
+            drift/refit counts it accumulated during the run.
         metrics: a :class:`~repro.service.metrics.MetricsRegistry`
             receiving per-cluster routed/failed counters and the
             route/extract latency histograms (default: the
@@ -513,16 +467,13 @@ class StreamingRuntime:
         repository: RuleRepository,
         router: Optional[ClusterRouter] = None,
         postprocessor: Optional[PostProcessor] = None,
-        workers: int = 2,
-        executor: str = "thread",
+        workers: int = 1,
+        executor: Optional[str] = None,
         chunk_size: int = 16,
-        max_pending: Optional[int] = None,
-        ordered: bool = False,
+        ordered: bool = True,
         adapter=None,
         metrics=None,
     ) -> None:
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(f"unknown executor kind {executor!r}")
         if adapter is not None:
             if router is not None:
                 raise ValueError(
@@ -532,20 +483,18 @@ class StreamingRuntime:
             router = adapter
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if executor is None:
+            executor = "inline" if workers == 1 else "process"
+        if executor not in EXECUTOR_KINDS:
+            raise ValueError(f"unknown executor kind {executor!r}")
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         self.repository = repository
         self.router = router
         self.postprocessor = postprocessor
         self.workers = workers
         self.executor_kind = executor
         self.chunk_size = chunk_size
-        self.max_pending = (
-            max_pending if max_pending is not None else 4 * workers
-        )
-        self.ordered = ordered
         self.adapter = adapter
         self.metrics = metrics if metrics is not None else default_registry()
         self._transport = (
@@ -565,9 +514,6 @@ class StreamingRuntime:
         )
         self._m_automaton_pages = self.metrics.from_spec(
             "repro_automaton_pages_total"
-        )
-        self._m_cold_chunks = self.metrics.from_spec(
-            "repro_chunks_cold_total"
         )
         self._wrappers: Dict[str, CompiledWrapper] = repository.compile_all()
         #: Clusters whose wrapper actually drives the automaton (at
@@ -602,6 +548,11 @@ class StreamingRuntime:
     ) -> RuntimeReport:
         """Route, extract and sink every page; returns the run report.
 
+        Routed pages join one chunk list in stream order; a full chunk
+        is submitted, and the oldest in-flight chunk drains whenever
+        ``4 * workers`` are in flight, so records leave in submission
+        order with no reorder buffer.
+
         Args:
             source: the page stream (``(global index, page)`` items).
             sink: where records go (default: discarded).
@@ -626,11 +577,10 @@ class StreamingRuntime:
             refits_before = self.adapter.refits
         started = time.perf_counter()
         executor = self._make_executor()
-        pending: deque[tuple[str, object, Optional[str]]] = deque()
-        buffers: Dict[str, list[tuple[int, int, WebPage]]] = {}
-        emitter = OrderedEmitter(sink.write) if self.ordered else None
+        pending: deque[tuple[object, Optional[str]]] = deque()
+        chunk: list[ChunkItem] = []
         try:
-            for seq, (index, page) in enumerate(iter(source)):
+            for index, page in source:
                 if cancel is not None and cancel.is_set():
                     # Cooperative stop: admit nothing more; the tail
                     # below still drains every in-flight chunk so the
@@ -640,38 +590,17 @@ class StreamingRuntime:
                 report.total_pages += 1
                 cluster = self._route(page, report)
                 if cluster is None:
-                    if emitter is not None:
-                        emitter.emit(seq, None)
                     continue
-                buffer = buffers.setdefault(cluster, [])
-                buffer.append((seq, index, page))
-                if len(buffer) >= self.chunk_size:
-                    self._submit(executor, cluster, buffer, pending, report)
-                    buffers[cluster] = []
-                    while len(pending) >= self.max_pending:
-                        self._drain_one(pending, sink, emitter, report)
-                        if on_progress is not None:
-                            on_progress(report)
-                        # A partially-filled buffer from a quiet cluster
-                        # must not dam the reorder buffer behind it: if
-                        # the sequence the emitter needs next is sitting
-                        # in a buffer, submit that buffer early.  Held
-                        # records stay bounded by the in-flight window
-                        # instead of growing with the stream; ordered
-                        # emission makes the output bytes independent of
-                        # the changed chunk boundaries.
-                        if emitter is not None:
-                            self._flush_blocking_buffer(
-                                executor, buffers, pending, report, emitter
-                            )
-            for cluster, buffer in buffers.items():
-                if buffer:
-                    self._submit(executor, cluster, buffer, pending, report)
+                chunk.append((index, cluster, page))
+                if len(chunk) >= self.chunk_size:
+                    self._submit(executor, chunk, pending)
+                    chunk = []
+                    while len(pending) >= 4 * self.workers:
+                        self._drain_one(pending, sink, report, on_progress)
+            if chunk:
+                self._submit(executor, chunk, pending)
             while pending:
-                self._drain_one(pending, sink, emitter, report)
-                if on_progress is not None:
-                    on_progress(report)
-            assert emitter is None or emitter.held == 0
+                self._drain_one(pending, sink, report, on_progress)
         finally:
             executor.shutdown(wait=True)
             if self._transport is not None:
@@ -698,7 +627,7 @@ class StreamingRuntime:
         if cluster is None:
             return None
         try:
-            outcome = _extract_one(self._wrappers[cluster], -1, -1, page)
+            outcome = _extract_one(self._wrappers[cluster], -1, cluster, page)
         except Exception as exc:
             # One pathological page must not end a serve session: it
             # becomes this request's error record, and it is drift
@@ -709,7 +638,7 @@ class StreamingRuntime:
             return make_error_record(
                 f"{type(exc).__name__}: {exc}", url=page.url
             )
-        return self._finish(cluster, outcome)
+        return self._finish(outcome)
 
     def run_collect(
         self, source: PageSource
@@ -751,8 +680,6 @@ class StreamingRuntime:
                 initializer=_init_process_worker,
                 initargs=(self.repository.to_dict(),),
             )
-        if self.executor_kind == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
         return _InlineExecutor()
 
     def _route(
@@ -787,14 +714,17 @@ class StreamingRuntime:
         finally:
             self._m_route_seconds.observe(time.perf_counter() - started)
 
-    def _finish(self, cluster: str, outcome: _Outcome) -> PageRecord:
+    def _finish(
+        self, outcome: _Outcome, report: Optional[RuntimeReport] = None
+    ) -> PageRecord:
         """One extracted page's outcome step, shared by every path.
 
         Applies the post-processor chains, observes the page's own
-        extraction time, counts automaton pages, feeds the drift
-        monitor, and returns the record.
+        extraction time (in ``repro_extract_seconds`` and, for a run,
+        its cluster's ``worker_seconds``), counts automaton pages,
+        feeds the drift monitor, and returns the record.
         """
-        _, index, url, values, failures, seconds = outcome
+        index, cluster, url, values, failures, seconds = outcome
         chains = self._chains.get(cluster)
         if chains is not None:
             values = {
@@ -802,6 +732,12 @@ class StreamingRuntime:
                 for name, texts in values.items()
             }
         self._m_extract_seconds.labels(cluster).observe(seconds)
+        if report is not None:
+            stats = report.per_cluster.setdefault(cluster, ClusterStats())
+            stats.pages += 1
+            stats.values += sum(len(texts) for texts in values.values())
+            stats.failures += len(failures)
+            stats.worker_seconds += seconds
         if cluster in self._automaton_clusters:
             self._m_automaton_pages.labels(cluster).inc()
         if self.adapter is not None:
@@ -813,43 +749,16 @@ class StreamingRuntime:
             index=index,
         )
 
-    def _flush_blocking_buffer(
-        self,
-        executor,
-        buffers: Dict[str, list[tuple[int, int, WebPage]]],
-        pending: deque,
-        report: RuntimeReport,
-        emitter: OrderedEmitter,
-    ) -> None:
-        """Submit the partial chunk holding the next-to-release sequence.
-
-        The needed sequence, when buffered at all, is necessarily the
-        *first* entry of its cluster's buffer (anything earlier in that
-        buffer would itself be unreleased and smaller), so a head check
-        per cluster suffices.
-        """
-        needed = emitter.next_seq
-        for cluster, buffer in buffers.items():
-            if buffer and buffer[0][0] == needed:
-                self._submit(executor, cluster, buffer, pending, report)
-                buffers[cluster] = []
-                return
-
     def _submit(
-        self,
-        executor,
-        cluster: str,
-        chunk: list[tuple[int, int, WebPage]],
-        pending: deque,
-        report: RuntimeReport,
+        self, executor, chunk: list[ChunkItem], pending: deque
     ) -> None:
         lease: Optional[str] = None
-        if self.executor_kind == "process":
+        if self._transport is not None:
             staged = self._transport.stage(chunk)
             lease = staged.segment
             worker = _process_chunk_shm if lease is not None else _process_chunk
             try:
-                future = executor.submit(worker, cluster, staged.payload)
+                future = executor.submit(worker, staged.payload)
             except BaseException:
                 # Staging succeeded but no future exists to carry the
                 # lease: without this release the segment would only
@@ -859,52 +768,23 @@ class StreamingRuntime:
                     self._transport.release(lease)
                 raise
         else:
-            future = executor.submit(
-                self._local_chunk, self._wrappers[cluster], chunk
-            )
-        pending.append((cluster, future, lease))
-        stats = report.per_cluster.setdefault(cluster, ClusterStats())
-        stats.chunks += 1
-
-    @staticmethod
-    def _local_chunk(
-        wrapper: CompiledWrapper, pages: list[tuple[int, int, WebPage]]
-    ) -> tuple[list[_Outcome], float, bool]:
-        # Local executors share the parent's pre-compiled wrappers, so
-        # every chunk is warm by construction.
-        started = time.perf_counter()
-        outcomes = _extract_chunk(wrapper, pages)
-        return outcomes, time.perf_counter() - started, True
+            future = executor.submit(_extract_chunk, self._wrappers, chunk)
+        pending.append((future, lease))
 
     def _drain_one(
-        self,
-        pending: deque,
-        sink: ResultSink,
-        emitter: Optional[OrderedEmitter],
-        report: RuntimeReport,
+        self, pending: deque, sink: ResultSink, report: RuntimeReport,
+        on_progress: Optional[Callable[[RuntimeReport], None]],
     ) -> None:
-        cluster, future, lease = pending.popleft()
+        """Sink the oldest in-flight chunk's records, in stream order."""
+        future, lease = pending.popleft()
         try:
-            outcomes, seconds, warm = future.result()
+            outcomes = future.result()
         finally:
             # The segment lease must drop however the chunk ended —
             # success, an extraction error or a dead worker alike.
             if lease is not None:
                 self._transport.release(lease)
-        stats = report.per_cluster.setdefault(cluster, ClusterStats())
-        stats.worker_seconds += seconds
-        if warm:
-            stats.warm_pages += len(outcomes)
-            stats.warm_seconds += seconds
-        else:
-            stats.cold_chunks += 1
-            self._m_cold_chunks.labels(cluster).inc()
         for outcome in outcomes:
-            record = self._finish(cluster, outcome)
-            stats.pages += 1
-            stats.values += sum(len(texts) for texts in record.values.values())
-            stats.failures += len(record.failures)
-            if emitter is not None:
-                emitter.emit(outcome[0], record)
-            else:
-                sink.write(record)
+            sink.write(self._finish(outcome, report))
+        if on_progress is not None:
+            on_progress(report)

@@ -197,7 +197,6 @@ class ServeHandler:
             repository,
             router=router,
             postprocessor=postprocessor,
-            executor="inline",
             adapter=adapter,
             metrics=self.metrics,
         )

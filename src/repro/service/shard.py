@@ -404,14 +404,16 @@ def shard_basename(shard: int) -> str:
 
 
 class ShardWorker:
-    """Run one shard of a plan through an ordered streaming runtime.
+    """Run one shard of a plan through a streaming runtime.
 
     Pages are materialised lazily through ``load_page`` (a
     :class:`~repro.service.runtime.LoadingPageSource` over the plan
     slice) so a worker holds only its in-flight window in memory,
-    exactly like ``batch``.  Runtime parameters mirror
-    :class:`~repro.service.runtime.StreamingRuntime`; every worker of a
-    run should use identical ones (and an identically fitted router) so
+    exactly like ``batch``, and records leave in global-index order.
+    Runtime parameters mirror
+    :class:`~repro.service.runtime.StreamingRuntime` (``workers=1``
+    runs inline, N > 1 on an N-process pool); every worker of a run
+    should use identical ones (and an identically fitted router) so
     the shard outputs partition the unsharded output.
     """
 
@@ -422,8 +424,7 @@ class ShardWorker:
         shard: int,
         router: Optional[ClusterRouter] = None,
         postprocessor: Optional[PostProcessor] = None,
-        workers: int = 2,
-        executor: str = "thread",
+        workers: int = 1,
         chunk_size: int = 16,
         skip_unreadable: bool = False,
         adapter=None,
@@ -446,9 +447,7 @@ class ShardWorker:
             router=router,
             postprocessor=postprocessor,
             workers=workers,
-            executor=executor,
             chunk_size=chunk_size,
-            ordered=True,
             adapter=adapter,
             metrics=metrics,
         )
@@ -532,7 +531,6 @@ class ShardWorker:
                     "pages": stats.pages,
                     "values": stats.values,
                     "failures": stats.failures,
-                    "chunks": stats.chunks,
                     "worker_seconds": stats.worker_seconds,
                 }
                 for cluster, stats in sorted(report.per_cluster.items())
@@ -649,8 +647,7 @@ def _accumulate_manifest_stats(
     for cluster, stats in manifest.per_cluster.items():
         merged = report.per_cluster.setdefault(
             cluster,
-            {"pages": 0, "values": 0, "failures": 0, "chunks": 0,
-             "worker_seconds": 0.0},
+            {"pages": 0, "values": 0, "failures": 0, "worker_seconds": 0.0},
         )
         for key in merged:
             merged[key] += stats.get(key, 0)

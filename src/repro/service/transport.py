@@ -1,12 +1,12 @@
-"""Zero-copy page transport for process executors.
+"""Zero-copy page transport for the process executor.
 
-Process mode used to pickle every page's HTML into each submitted
-chunk: the parent serialises megabytes of markup, the pool pipes them
-through a pickle stream, and the worker deserialises them again.  This
-module moves the page *bytes* out of band instead: the parent stages a
+Pickling every page's HTML into each submitted chunk would make the
+parent serialise megabytes of markup, the pool pipe them through a
+pickle stream, and the worker deserialise them again.  This module
+moves the page *bytes* out of band instead: the parent stages a
 chunk's HTML into one :mod:`multiprocessing.shared_memory` segment and
-pickles only ``(seq, index, url, offset, length)`` tuples; the worker
-maps the segment and slices pages straight out of it.
+pickles only ``(index, cluster, url, offset, length)`` tuples; the
+worker maps the segment and slices pages straight out of it.
 
 Lifecycle — the part that must never leak:
 
@@ -57,8 +57,11 @@ __all__ = [
 #: stray ``/dev/shm`` entries that belong to this service.
 SEGMENT_PREFIX = "repro_shm"
 
-#: Worker-side chunk entry: (seq, index, url, offset, length).
-ShmEntry = Tuple[int, int, str, int, int]
+#: A chunk entry as the runtime builds it: (index, cluster, page).
+ChunkItem = Tuple[int, str, WebPage]
+
+#: Worker-side chunk entry: (index, cluster, url, offset, length).
+ShmEntry = Tuple[int, str, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def attach_segment(name: str):
 
 def load_shm_chunk(
     name: str, entries: Sequence[ShmEntry]
-) -> list[Tuple[int, int, WebPage]]:
+) -> list[ChunkItem]:
     """Worker side: slice a staged chunk's pages out of its segment.
 
     The segment is closed (not unlinked — the parent owns it) before
@@ -108,14 +111,14 @@ def load_shm_chunk(
     try:
         return [
             (
-                seq,
                 index,
+                cluster,
                 WebPage(
                     url=url,
                     html=bytes(buf[offset:offset + length]).decode("utf-8"),
                 ),
             )
-            for seq, index, url, offset, length in entries
+            for index, cluster, url, offset, length in entries
         ]
     finally:
         del buf
@@ -167,9 +170,7 @@ class SharedMemoryPageTransport:
 
     # -- staging -------------------------------------------------------- #
 
-    def stage(
-        self, chunk: Sequence[Tuple[int, int, WebPage]]
-    ) -> StagedChunk:
+    def stage(self, chunk: Sequence[ChunkItem]) -> StagedChunk:
         """Prepare one chunk for submission to a process pool.
 
         Returns a shared-memory staged chunk when possible, otherwise
@@ -182,9 +183,9 @@ class SharedMemoryPageTransport:
         entries: list[ShmEntry] = []
         blobs: list[bytes] = []
         offset = 0
-        for seq, index, page in chunk:
+        for index, cluster, page in chunk:
             data = page.html.encode("utf-8")
-            entries.append((seq, index, page.url, offset, len(data)))
+            entries.append((index, cluster, page.url, offset, len(data)))
             blobs.append(data)
             offset += len(data)
         if offset == 0:
@@ -212,12 +213,10 @@ class SharedMemoryPageTransport:
         self._m_bytes.labels("shm").inc(offset)
         return StagedChunk(payload=(name, entries), segment=name)
 
-    def _stage_pickle(
-        self, chunk: Sequence[Tuple[int, int, WebPage]]
-    ) -> StagedChunk:
+    def _stage_pickle(self, chunk: Sequence[ChunkItem]) -> StagedChunk:
         payload = [
-            (seq, index, page.url, page.html)
-            for seq, index, page in chunk
+            (index, cluster, page.url, page.html)
+            for index, cluster, page in chunk
         ]
         self._m_chunks.labels("pickle").inc()
         self._m_bytes.labels("pickle").inc(

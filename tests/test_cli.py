@@ -204,7 +204,7 @@ def test_batch_xml_dir(served_site, tmp_path):
     xml_dir = tmp_path / "xml"
     assert main([
         "batch", str(site_dir),
-        "--repository", str(repo_path),
+        "--repository", str(repo_path), "--workers", "1",
         "--xml-dir", str(xml_dir),
     ]) == 0
     xml = (xml_dir / "imdb-movies.xml").read_text(encoding="utf-8")
@@ -217,7 +217,7 @@ def test_batch_hint_routing(served_site, tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     assert main([
         "batch", str(site_dir),
-        "--repository", str(repo_path),
+        "--repository", str(repo_path), "--workers", "1",
         "--jsonl", str(out),
         "--route", "hint",
     ]) == 0
@@ -251,7 +251,7 @@ def test_batch_skips_unreadable_file(served_site, tmp_path, capsys):
     out = tmp_path / "tolerant.jsonl"
     assert main([
         "batch", str(site_dir), "--repository", str(repo_path),
-        "--jsonl", str(out),
+        "--workers", "1", "--jsonl", str(out),
     ]) == 0
     err = capsys.readouterr().err
     assert "1 unreadable file(s) skipped" in err
@@ -648,7 +648,8 @@ def test_shard_three_way_matches_unsharded_batch(served_site, tmp_path,
             "shard", "run", str(site_dir),
             "--plan", str(plan_path), "--shard", str(shard),
             "--repository", str(repo_path),
-            "--output-dir", str(out_dir), "--chunk-size", "4",
+            "--output-dir", str(out_dir), "--workers", "1",
+            "--chunk-size", "4",
         ]) == 0
     merged = tmp_path / "merged.jsonl"
     assert main([
@@ -667,7 +668,7 @@ def test_shard_merge_to_stdout(served_site, tmp_path, capsys):
     for shard in range(2):
         main(["shard", "run", str(site_dir), "--plan", str(plan_path),
               "--shard", str(shard), "--repository", str(repo_path),
-              "--output-dir", str(out_dir)])
+              "--workers", "1", "--output-dir", str(out_dir)])
     capsys.readouterr()
     assert main(["shard", "merge", str(out_dir)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -688,14 +689,14 @@ def test_shard_identity_survives_unreadable_file(served_site, tmp_path):
     for shard in range(2):
         assert main(["shard", "run", str(site_dir),
                      "--plan", str(plan_path), "--shard", str(shard),
-                     "--repository", str(repo_path),
+                     "--repository", str(repo_path), "--workers", "1",
                      "--output-dir", str(out_dir)]) == 0
     merged = tmp_path / "merged.jsonl"
     assert main(["shard", "merge", str(out_dir),
                  "--output", str(merged)]) == 0
     unsharded = tmp_path / "unsharded.jsonl"
     assert main(["batch", str(site_dir), "--repository", str(repo_path),
-                 "--jsonl", str(unsharded)]) == 0
+                 "--workers", "1", "--jsonl", str(unsharded)]) == 0
     assert merged.read_bytes() == unsharded.read_bytes()
 
 
@@ -708,7 +709,7 @@ def test_batch_survives_unreadable_exemplar(served_site, tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     assert main([
         "batch", str(site_dir), "--repository", str(repo_path),
-        "--jsonl", str(out),
+        "--workers", "1", "--jsonl", str(out),
     ]) == 0
     err = capsys.readouterr().err
     assert "skipping exemplar" in err
@@ -757,7 +758,7 @@ def test_shard_merge_incomplete_set_fails(served_site, tmp_path, capsys):
           "--output", str(plan_path)])
     out_dir = tmp_path / "shards"
     main(["shard", "run", str(site_dir), "--plan", str(plan_path),
-          "--shard", "0", "--repository", str(repo_path),
+          "--shard", "0", "--repository", str(repo_path), "--workers", "1",
           "--output-dir", str(out_dir)])
     assert main([
         "shard", "merge", str(out_dir),
@@ -893,7 +894,7 @@ def test_shard_xml_pipeline_matches_unsharded_batch(served_site, tmp_path,
             "shard", "run", str(site_dir), "--plan", str(plan_path),
             "--shard", str(shard), "--repository", str(repo_path),
             "--output-dir", str(out_dir), "--format", "xml",
-            "--chunk-size", "4",
+            "--workers", "1", "--chunk-size", "4",
         ]) == 0
     merged = tmp_path / "merged-xml"
     assert main([
@@ -934,14 +935,15 @@ def test_shard_resume_reruns_only_incomplete_shards(served_site, tmp_path,
     # Only shard 1 ran; 0 and 2 "never came back".
     assert main([
         "shard", "run", str(site_dir), "--plan", str(plan_path),
-        "--shard", "1", "--repository", str(repo_path),
+        "--shard", "1", "--repository", str(repo_path), "--workers", "1",
         "--output-dir", str(out_dir),
     ]) == 0
     shard1 = (out_dir / "shard-0001.jsonl").read_bytes()
     capsys.readouterr()
     assert main([
         "shard", "resume", str(site_dir), "--plan", str(plan_path),
-        "--repository", str(repo_path), "--output-dir", str(out_dir),
+        "--repository", str(repo_path), "--workers", "1",
+        "--output-dir", str(out_dir),
     ]) == 0
     err = capsys.readouterr().err
     assert "resuming 2 of 3 shard(s)" in err
@@ -954,7 +956,8 @@ def test_shard_resume_reruns_only_incomplete_shards(served_site, tmp_path,
     # A second resume finds a complete set.
     assert main([
         "shard", "resume", str(site_dir), "--plan", str(plan_path),
-        "--repository", str(repo_path), "--output-dir", str(out_dir),
+        "--repository", str(repo_path), "--workers", "1",
+        "--output-dir", str(out_dir),
     ]) == 0
     assert "nothing to resume" in capsys.readouterr().err
 
@@ -974,13 +977,14 @@ def test_shard_resume_noop_works_without_the_corpus(served_site, tmp_path,
         assert main([
             "shard", "run", str(site_dir), "--plan", str(plan_path),
             "--shard", str(shard), "--repository", str(repo_path),
-            "--output-dir", str(out_dir),
+            "--workers", "1", "--output-dir", str(out_dir),
         ]) == 0
     shutil.rmtree(site_dir)
     capsys.readouterr()
     assert main([
         "shard", "resume", str(site_dir), "--plan", str(plan_path),
-        "--repository", str(repo_path), "--output-dir", str(out_dir),
+        "--repository", str(repo_path), "--workers", "1",
+        "--output-dir", str(out_dir),
     ]) == 0
     assert "nothing to resume" in capsys.readouterr().err
 
@@ -996,13 +1000,14 @@ def test_shard_resume_refuses_format_mismatch(served_site, tmp_path,
     out_dir = tmp_path / "shards"
     assert main([
         "shard", "run", str(site_dir), "--plan", str(plan_path),
-        "--shard", "0", "--repository", str(repo_path),
+        "--shard", "0", "--repository", str(repo_path), "--workers", "1",
         "--output-dir", str(out_dir), "--format", "xml",
     ]) == 0
     capsys.readouterr()
     assert main([
         "shard", "resume", str(site_dir), "--plan", str(plan_path),
-        "--repository", str(repo_path), "--output-dir", str(out_dir),
+        "--repository", str(repo_path), "--workers", "1",
+        "--output-dir", str(out_dir),
     ]) == 2
     err = capsys.readouterr().err
     assert "xml" in err and "--format" in err
@@ -1118,7 +1123,7 @@ def test_batch_adapt_byte_identical_without_drift(served_site, tmp_path,
     log_path = tmp_path / "adapt-log.jsonl"
     assert main([
         "batch", str(site_dir), "--repository", str(repo_path),
-        "--jsonl", str(plain),
+        "--jsonl", str(plain), "--workers", "1",
     ]) == 0
     assert main([
         "batch", str(site_dir), "--repository", str(repo_path),
@@ -1153,7 +1158,7 @@ def test_shard_run_adapt_records_drift_in_manifest(served_site, tmp_path):
         "shard", "run", str(site_dir),
         "--plan", str(plan_path), "--shard", "0",
         "--repository", str(repo_path), "--output-dir", str(out_dir),
-        "--adapt", "--adapt-log", str(log_path),
+        "--workers", "1", "--adapt", "--adapt-log", str(log_path),
     ]) == 0
     manifest = json.loads(
         (out_dir / "shard-0000.manifest.json").read_text(encoding="utf-8")
@@ -1187,7 +1192,8 @@ def test_shard_resume_adapt_isolates_routers(served_site, tmp_path,
     assert main([
         "shard", "resume", str(site_dir),
         "--plan", str(plan_path), "--repository", str(repo_path),
-        "--output-dir", str(tmp_path / "shards"), "--adapt",
+        "--output-dir", str(tmp_path / "shards"), "--workers", "1",
+        "--adapt",
     ]) == 0
     assert len(captured) == 2
     first, second = captured

@@ -561,7 +561,7 @@ class TestEntryPointWiring:
         router, pages = self._router_and_pages(service_site)
         adapter = make_adapter(router)
         runtime = StreamingRuntime(
-            service_repository, adapter=adapter, workers=2, chunk_size=8,
+            service_repository, adapter=adapter, chunk_size=8,
         )
         assert runtime.router is adapter
         report, records = runtime.run_collect(IterablePageSource(pages))

@@ -556,9 +556,7 @@ class TestShardCheckpoint:
         plan = ShardPlanner(2, "range").plan(sorted(pages))
         out = tmp_path / "shards"
         token, on_progress = self._interrupt_after_first_progress()
-        worker = ShardWorker(
-            service_repository, plan, 0, chunk_size=2, executor="inline"
-        )
+        worker = ShardWorker(service_repository, plan, 0, chunk_size=2)
         manifest, report = worker.run(
             lambda url: pages[url], out,
             cancel=token, on_progress=on_progress,

@@ -1,5 +1,6 @@
 """The streaming runtime: sources, ordered emission, executors, one page."""
 
+import dataclasses
 import random
 
 import pytest
@@ -200,25 +201,26 @@ def movie_pages_30(service_site):
 
 
 class TestStreamingRuntime:
-    def test_inline_executor_matches_thread_executor(
+    def test_inline_executor_matches_process_pool(
         self, movie_pages_30, service_repository
     ):
-        inline = StreamingRuntime(
-            service_repository, executor="inline", ordered=True
+        inline = StreamingRuntime(service_repository)
+        pooled = StreamingRuntime(
+            service_repository, workers=4, chunk_size=7
         )
-        threaded = StreamingRuntime(
-            service_repository, workers=4, chunk_size=7, ordered=True
+        assert (inline.executor_kind, pooled.executor_kind) == (
+            "inline", "process"
         )
         _, inline_records = inline.run_collect(
             IterablePageSource(movie_pages_30)
         )
-        _, threaded_records = threaded.run_collect(
+        _, pooled_records = pooled.run_collect(
             IterablePageSource(movie_pages_30)
         )
         assert [
             (r.index, r.url, r.values) for r in inline_records
         ] == [
-            (r.index, r.url, r.values) for r in threaded_records
+            (r.index, r.url, r.values) for r in pooled_records
         ]
 
     def test_sparse_global_indices_survive_to_records(
@@ -251,15 +253,14 @@ class TestStreamingRuntime:
     def test_quiet_cluster_never_dams_ordered_emission(
         self, service_site, service_repository
     ):
-        # Page 0 goes to a cluster that never fills a chunk; a flood
-        # follows for another cluster.  The runtime must flush the
-        # blocking partial buffer instead of holding the whole flood
-        # in the reorder buffer until EOF.
+        # Page 0 goes to a cluster that never fills a chunk of its
+        # own; a flood follows for another cluster.  Chunks are cut
+        # from the stream, not per cluster, so the quiet page rides in
+        # the first chunk and output flows long before EOF.
         actor = service_site.pages_with_hint("imdb-actors")[0]
         movies = service_site.pages_with_hint("imdb-movies")[:120]
         runtime = StreamingRuntime(
-            service_repository, workers=1, chunk_size=4, max_pending=2,
-            ordered=True,
+            service_repository, workers=1, chunk_size=4
         )
         sink = CollectingSink()
         received_midstream = []
@@ -280,16 +281,59 @@ class TestStreamingRuntime:
     def test_invalid_configuration_rejected(self, service_repository):
         with pytest.raises(ValueError, match="executor"):
             StreamingRuntime(service_repository, executor="fiber")
+        with pytest.raises(ValueError, match="executor"):
+            StreamingRuntime(service_repository, executor="thread")
         with pytest.raises(ValueError, match="workers"):
             StreamingRuntime(service_repository, workers=0)
         with pytest.raises(ValueError, match="chunk_size"):
             StreamingRuntime(service_repository, chunk_size=0)
-        with pytest.raises(ValueError, match="max_pending"):
-            StreamingRuntime(service_repository, max_pending=0)
 
     def test_inline_runtime_reports_clusters(self, service_repository):
         runtime = StreamingRuntime(service_repository, executor="inline")
         assert set(runtime.clusters()) == set(service_repository.clusters())
+
+
+class TestContiguousChunks:
+    """Chunks are cut from the stream and drain first in, first out."""
+
+    @pytest.fixture(scope="class")
+    def mixed_stream(self, service_site):
+        # Two served clusters interleaved page by page, with no-rules
+        # (search) and unroutable (hintless) pages between them.
+        movies = service_site.pages_with_hint("imdb-movies")[:12]
+        actors = service_site.pages_with_hint("imdb-actors")[:12]
+        searches = service_site.pages_with_hint("imdb-search")[:4]
+        stream = []
+        for i in range(12):
+            stream += [movies[i], actors[i]]
+            if i % 3 == 0:
+                stream.append(searches[i // 3])
+            if i % 4 == 1:
+                stream.append(WebPage(url=f"http://x/stray-{i}",
+                                      html="<body><p>?</p></body>"))
+        return stream
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_leave_in_stream_order_as_process_page_gives_them(
+        self, mixed_stream, service_repository, workers
+    ):
+        runtime = StreamingRuntime(
+            service_repository, workers=workers, chunk_size=3
+        )
+        _, records = runtime.run_collect(IterablePageSource(mixed_stream))
+        indices = [record.index for record in records]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        expected = {
+            index: runtime.process_page(page)
+            for index, page in enumerate(mixed_stream)
+        }
+        assert indices == [
+            index for index, single in expected.items() if single is not None
+        ]
+        for record in records:
+            assert dataclasses.replace(record, index=-1) == expected[
+                record.index
+            ]
 
 
 class TestProcessPage:

@@ -219,13 +219,13 @@ class TestMerge:
         assert len(pages) >= 300
         plan = ShardPlanner(3, "hash").plan([p.url for p in pages])
         directory, _ = _run_shards(
-            plan, service_repository, by_url, tmp_path,
-            workers=2, chunk_size=16,
+            plan, service_repository, by_url, tmp_path, chunk_size=16,
         )
         stream = io.StringIO()
         ShardMerger().merge([directory], stream)
-        # Different chunking on the unsharded side: ordered emission
-        # makes the byte stream independent of chunk boundaries.
+        # Inline shards against a process-pool unsharded run with other
+        # chunking: submission order makes the bytes independent of the
+        # executor and of chunk boundaries.
         expected = _unsharded_bytes(
             pages, service_repository, workers=3, chunk_size=11
         )

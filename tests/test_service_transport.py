@@ -9,10 +9,13 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.repository import RuleRepository
-from repro.service.metrics import CancellationToken, MetricsRegistry
+from repro.service.metrics import (
+    CancellationToken,
+    MetricsRegistry,
+    parse_exposition,
+)
 from repro.service.runtime import (
     IterablePageSource,
-    ClusterStats,
     StreamingRuntime,
     _init_process_worker,
     _process_chunk,
@@ -30,7 +33,8 @@ from repro.sites.page import WebPage
 
 def _chunk(n=3, prefix="http://p/"):
     return [
-        (i, i, WebPage(url=f"{prefix}{i}", html=f"<body><p>page {i}— ünïcode"))
+        (i, "c", WebPage(url=f"{prefix}{i}",
+                         html=f"<body><p>page {i}— ünïcode"))
         for i in range(n)
     ]
 
@@ -56,8 +60,8 @@ class TestStaging:
         assert transport.active == 1
         name, entries = staged.payload
         loaded = load_shm_chunk(name, entries)
-        assert [(s, i, p.url, p.html) for s, i, p in loaded] == [
-            (s, i, p.url, p.html) for s, i, p in chunk
+        assert [(i, c, p.url, p.html) for i, c, p in loaded] == [
+            (i, c, p.url, p.html) for i, c, p in chunk
         ]
         transport.release(staged.segment)
         assert transport.active == 0
@@ -72,10 +76,10 @@ class TestStaging:
         assert transport.active == 0
 
     def test_all_empty_chunk_pickles(self, transport):
-        chunk = [(0, 0, WebPage(url="http://e/", html=""))]
+        chunk = [(0, "c", WebPage(url="http://e/", html=""))]
         staged = transport.stage(chunk)
         assert staged.segment is None
-        assert staged.payload == [(0, 0, "http://e/", "")]
+        assert staged.payload == [(0, "c", "http://e/", "")]
 
     def test_pickle_mode_forces_legacy_payload(self, monkeypatch):
         # Once the probe fails, every chunk ships its HTML inline.
@@ -146,26 +150,30 @@ class TestWorkerSide:
     def test_shm_and_pickle_chunks_extract_identically(
         self, service_repository, service_site
     ):
-        pages = service_site.pages_with_hint("imdb-movies")[:6]
-        chunk = [(i, i, page) for i, page in enumerate(pages)]
+        movies = service_site.pages_with_hint("imdb-movies")[:3]
+        actors = service_site.pages_with_hint("imdb-actors")[:3]
+        chunk = [
+            (i, page.cluster_hint, page)
+            for i, page in enumerate(movies + actors)
+        ]
         transport = SharedMemoryPageTransport(metrics=MetricsRegistry())
         if not transport.available:
             pytest.skip("no shared memory on this platform")
         _init_process_worker(service_repository.to_dict())
         staged = transport.stage(chunk)
         try:
-            shm_outcomes, _, _ = _process_chunk_shm(
-                "imdb-movies", staged.payload
-            )
+            shm_outcomes = _process_chunk_shm(staged.payload)
         finally:
             transport.release(staged.segment)
-        legacy = [(s, i, p.url, p.html) for s, i, p in chunk]
-        pickle_outcomes, _, warm = _process_chunk("imdb-movies", legacy)
+        legacy = [(i, c, p.url, p.html) for i, c, p in chunk]
+        pickle_outcomes = _process_chunk(legacy)
         # Everything but the per-page extraction seconds (last slot).
         assert [outcome[:-1] for outcome in shm_outcomes] == [
             outcome[:-1] for outcome in pickle_outcomes
         ]
-        assert warm  # second chunk reuses the compiled wrapper
+        assert [outcome[:2] for outcome in shm_outcomes] == [
+            (i, c) for i, c, _ in chunk
+        ]
 
 
 class TestRuntimeLifecycle:
@@ -339,45 +347,28 @@ class TestConcurrentSweep:
         assert not _stray_segments()
 
 
-class TestWarmAccounting:
-    def test_pages_per_second_prefers_warm_chunks(self):
-        stats = ClusterStats(pages=100, worker_seconds=20.0,
-                             cold_chunks=1, warm_pages=50, warm_seconds=5.0)
-        assert stats.pages_per_second == pytest.approx(10.0)
-        # Without warm data the all-chunk figure is the fallback.
-        cold_only = ClusterStats(pages=100, worker_seconds=20.0)
-        assert cold_only.pages_per_second == pytest.approx(5.0)
+class TestWorkerSeconds:
+    """The run report and ``/metrics`` tell one story per cluster."""
 
-    def test_process_runs_mark_first_chunks_cold(self, service_repository,
-                                                 service_site):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_seconds_are_the_extract_seconds_sum(
+        self, service_repository, service_site, workers
+    ):
         metrics = MetricsRegistry()
         runtime = StreamingRuntime(
-            service_repository, workers=2, executor="process",
-            chunk_size=4, metrics=metrics,
+            service_repository, workers=workers, chunk_size=4,
+            metrics=metrics,
         )
         source = IterablePageSource(
-            service_site.pages_with_hint("imdb-movies")[:40]
+            service_site.pages_with_hint("imdb-movies")[:12]
+            + service_site.pages_with_hint("imdb-actors")[:8]
         )
         report, _ = runtime.run_collect(source)
-        stats = report.per_cluster["imdb-movies"]
-        # Each worker compiles the wrapper once; everything else is warm.
-        assert 1 <= stats.cold_chunks <= 2
-        assert stats.warm_pages == 40 - (
-            stats.cold_chunks * 4
-        )
-        assert "repro_chunks_cold_total" in metrics.render()
-
-    def test_local_executors_are_always_warm(self, service_repository,
-                                             service_site):
-        for executor in ("inline", "thread"):
-            runtime = StreamingRuntime(
-                service_repository, workers=2, executor=executor,
-                chunk_size=4, metrics=MetricsRegistry(),
-            )
-            source = IterablePageSource(
-                service_site.pages_with_hint("imdb-movies")[:20]
-            )
-            report, _ = runtime.run_collect(source)
-            stats = report.per_cluster["imdb-movies"]
-            assert stats.cold_chunks == 0
-            assert stats.warm_pages == 20
+        extract = parse_exposition(metrics.render())["repro_extract_seconds"]
+        assert set(report.per_cluster) == {"imdb-movies", "imdb-actors"}
+        for cluster, stats in report.per_cluster.items():
+            observed = extract[
+                f'repro_extract_seconds_sum{{cluster="{cluster}"}}'
+            ]
+            assert stats.worker_seconds > 0
+            assert stats.worker_seconds == pytest.approx(observed, rel=1e-9)
