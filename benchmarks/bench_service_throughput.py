@@ -12,7 +12,9 @@ Measures pages/second over a two-cluster synthetic site for:
 
 Pages are pre-parsed once so the runtime variant measures pure
 extraction machinery (a process pool would re-parse every page in its
-workers).  The acceptance bar fails the run when missed (this file is
+workers).  Each variant is scored by the best of :data:`ROUNDS` passes,
+interleaved so that a slow stretch of the host hits every variant
+alike.  The acceptance bar fails the run when missed (this file is
 CI's throughput regression gate): the runtime must beat the sequential
 baseline by at least :data:`MIN_ENGINE_SPEEDUP` (compilation alone
 measured ~1.8x; the single-pass automaton lifted the measured figure
@@ -38,6 +40,9 @@ from conftest import emit, write_results
 
 N_MOVIES = 200
 N_ACTORS = 60
+
+#: Timed passes per variant; the best one is scored (noise rejection).
+ROUNDS = 3
 
 #: Regression floor: the inline runtime must stay at least this much
 #: faster than the sequential baseline.  Ratcheted from 1.3x when the
@@ -92,10 +97,19 @@ def test_service_throughput(benchmark):
     repository, pages, movies, actors = _build_corpus()
     total = len(pages)
 
-    seq_seconds = _sequential(repository, movies, actors)
-    compiled_seconds = _compiled_one_thread(repository, movies, actors)
-    engine_seconds = benchmark.pedantic(
-        lambda: _engine(repository, pages), rounds=1, iterations=1,
+    def interleaved_rounds() -> list[tuple[float, float, float]]:
+        return [
+            (
+                _sequential(repository, movies, actors),
+                _compiled_one_thread(repository, movies, actors),
+                _engine(repository, pages),
+            )
+            for _ in range(ROUNDS)
+        ]
+
+    passes = benchmark.pedantic(interleaved_rounds, rounds=1, iterations=1)
+    seq_seconds, compiled_seconds, engine_seconds = (
+        min(seconds) for seconds in zip(*passes)
     )
 
     def pps(seconds: float) -> float:
@@ -105,7 +119,8 @@ def test_service_throughput(benchmark):
     emit(
         "Service throughput (pages/second, higher is better)",
         "\n".join([
-            f"pages: {total} ({N_MOVIES} movies + {N_ACTORS} actors)",
+            f"pages: {total} ({N_MOVIES} movies + {N_ACTORS} actors), "
+            f"best of {ROUNDS} interleaved passes",
             f"sequential processor : {pps(seq_seconds):9.1f} p/s",
             f"compiled, 1 thread   : {pps(compiled_seconds):9.1f} p/s"
             f"  ({seq_seconds / compiled_seconds:.2f}x)",
@@ -115,6 +130,7 @@ def test_service_throughput(benchmark):
     )
     results_path = write_results({
         "pages": total,
+        "rounds": ROUNDS,
         "pages_per_second": {
             "sequential": pps(seq_seconds),
             "compiled_1_thread": pps(compiled_seconds),

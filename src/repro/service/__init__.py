@@ -19,7 +19,7 @@ record rules in the repository           fit router on exemplar pages
 Every entry point is a composition over the same
 :class:`~repro.service.runtime.StreamingRuntime`:
 
-* batch — a runtime with a thread or process executor over a
+* batch — a runtime with an inline or process executor over a
   directory stream;
 * sharded batch (:mod:`repro.service.shard`) — a plan slice per host,
   merged back into the unsharded byte stream, resumable per shard;
@@ -130,7 +130,6 @@ from repro.service.supervisor import (
     reuseport_available,
     slice_body,
 )
-from repro.service.transport import SharedMemoryPageTransport, StagedChunk
 from repro.service.sink import (
     CollectingSink,
     JsonlSink,
@@ -191,7 +190,6 @@ __all__ = [
     "ServeStats",
     "ServeSupervisor",
     "ShadowEvent",
-    "SharedMemoryPageTransport",
     "ShardManifest",
     "ShardMerger",
     "ShardPlan",
@@ -199,7 +197,6 @@ __all__ = [
     "ShardStatus",
     "ShardWorker",
     "SliceCheckpoint",
-    "StagedChunk",
     "StreamingRuntime",
     "SupervisorStats",
     "UNROUTABLE",

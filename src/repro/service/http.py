@@ -44,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -70,6 +71,14 @@ MAX_HEADER_BYTES = 32768
 #: overrides (a million-page corpus belongs on ``/batch`` streamed,
 #: not in one ``/extract`` body).
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: RFC 9112 framing numbers: ``Content-Length`` is ``1*DIGIT``, and a
+#: chunk-size line is ``1*HEXDIG``, then optional extensions (``;...``,
+#: which spaces or tabs may precede) and the line end.  ``int()`` alone
+#: would also take a sign, ``0x`` and ``_`` separators; a framing two
+#: parsers read differently is a request-smuggling vector.
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+_CHUNK_SIZE_LINE = re.compile(r"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n]*)?\r?\n?")
 
 #: Seconds a graceful shutdown waits for in-flight requests before
 #: force-closing their connections.
@@ -247,13 +256,13 @@ class _ChunkedBody:
             if not size_line:
                 raise HttpProtocolError(400, "connection closed mid-body")
             # Chunk extensions (";...") are legal; ignore them.
-            size_text = size_line.decode("latin-1").strip().split(";")[0]
-            try:
-                size = int(size_text, 16)
-            except ValueError as exc:
+            size_text = size_line.decode("latin-1")
+            match = _CHUNK_SIZE_LINE.fullmatch(size_text)
+            if match is None:
                 raise HttpProtocolError(
-                    400, f"malformed chunk size {size_text!r}"
-                ) from exc
+                    400, f"malformed chunk size {size_text.strip()!r}"
+                )
+            size = int(match.group(1), 16)
             if size == 0:
                 # Trailer section: skip until the blank line, within
                 # the same budget that bounds a header block.
@@ -306,9 +315,9 @@ def _framed_body(request: _Request, reader, max_bytes: int):
     if length_text is None:
         raise HttpProtocolError(411, "Content-Length required")
     try:
-        length = int(length_text)
-        if length < 0:
+        if not _CONTENT_LENGTH.fullmatch(length_text):
             raise ValueError
+        length = int(length_text)
     except ValueError:
         raise HttpProtocolError(
             400, f"malformed Content-Length {length_text!r}"

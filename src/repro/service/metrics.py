@@ -129,20 +129,6 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
         "Pages extracted through the single-pass automaton scan.",
     ),
     MetricSpec(
-        "repro_transport_chunks_total", "counter", ("kind",),
-        "Process-executor chunks shipped, by transport kind "
-        "(shm or pickle).",
-    ),
-    MetricSpec(
-        "repro_transport_bytes_total", "counter", ("kind",),
-        "Page payload bytes shipped to process workers, by transport "
-        "kind.",
-    ),
-    MetricSpec(
-        "repro_shm_segments_active", "gauge", (),
-        "Shared-memory segments currently staged, not yet released.",
-    ),
-    MetricSpec(
         "repro_request_seconds", "histogram", (),
         "Serve request wall latency per line, every front-end (seconds).",
     ),

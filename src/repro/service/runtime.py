@@ -27,8 +27,8 @@ feedback, the record) serve both ways in:
 records reach the sink in submission order whatever the executor —
 the property that makes sharded runs mergeable.  ``workers`` picks the
 executor: 1 runs chunks on the calling thread, N > 1 on an N-process
-pool whose workers re-parse the HTML they receive through shared
-memory (:mod:`repro.service.transport`).
+pool; each chunk reaches its worker pickled as ``(index, cluster, url,
+html)`` tuples, and the worker re-parses the HTML.
 """
 
 from __future__ import annotations
@@ -61,17 +61,15 @@ from repro.service.sink import (
     ResultSink,
     make_error_record,
 )
-from repro.service.transport import (
-    ChunkItem,
-    SharedMemoryPageTransport,
-    load_shm_chunk,
-)
 from repro.sites.page import WebPage
 
 #: What a source yields: (global submission index, page).  Indices must
 #: be strictly increasing; they need not be dense (shard slices and
 #: skipped files leave gaps).
 SourceItem = Tuple[int, WebPage]
+
+#: A chunk entry as ``run()`` builds it: (global index, cluster, page).
+ChunkItem = Tuple[int, str, WebPage]
 
 #: A worker's outcome for one page: (global index, cluster, url,
 #: values, failures, extraction seconds).  Values are the wrapper's
@@ -328,7 +326,9 @@ class RuntimeReport:
 
 # Compiled wrappers hold DOM-walking closures, so each process worker
 # compiles every cluster's wrapper once, at start-up, from the
-# repository's plain-dict form; HTML is re-parsed in the worker.
+# repository's plain-dict form.  A chunk reaches it pickled as
+# ``(index, cluster, url, html)`` tuples (the parent's parsed DOM stays
+# behind), and the worker re-parses the HTML.
 # Post-processing always runs in the parent, in the outcome step
 # (transform chains may be arbitrary closures).
 
@@ -348,12 +348,6 @@ def _process_chunk(payload: list[tuple[int, str, str, str]]) -> list[_Outcome]:
             for index, cluster, url, html in payload
         ],
     )
-
-
-def _process_chunk_shm(payload: tuple) -> list[_Outcome]:
-    """Like :func:`_process_chunk`, pages read from shared memory."""
-    name, entries = payload
-    return _extract_chunk(_WORKER_WRAPPERS, load_shm_chunk(name, entries))
 
 
 def _extract_one(
@@ -438,9 +432,9 @@ class StreamingRuntime:
             step, whatever the executor.
         workers: 1 runs chunks inline on the calling thread; N > 1 on
             an N-process pool (real parallelism on multi-core hosts;
-            pages travel through shared memory, or pickled where it is
-            unavailable).  At most ``4 * workers`` chunks are in
-            flight — the memory bound for arbitrarily long streams.
+            each chunk's pages travel pickled).  At most
+            ``4 * workers`` chunks are in flight — the memory bound for
+            arbitrarily long streams.
         executor: ``None`` (derive it from ``workers``), or
             ``"inline"``/``"process"`` to force one.
         chunk_size: pages per submitted work item.
@@ -497,11 +491,6 @@ class StreamingRuntime:
         self.chunk_size = chunk_size
         self.adapter = adapter
         self.metrics = metrics if metrics is not None else default_registry()
-        self._transport = (
-            SharedMemoryPageTransport(metrics=self.metrics)
-            if executor == "process"
-            else None
-        )
         self._m_routed = self.metrics.from_spec("repro_pages_routed_total")
         self._m_unroutable = self.metrics.from_spec(
             "repro_pages_unroutable_total"
@@ -577,7 +566,7 @@ class StreamingRuntime:
             refits_before = self.adapter.refits
         started = time.perf_counter()
         executor = self._make_executor()
-        pending: deque[tuple[object, Optional[str]]] = deque()
+        pending: deque = deque()
         chunk: list[ChunkItem] = []
         try:
             for index, page in source:
@@ -603,11 +592,6 @@ class StreamingRuntime:
                 self._drain_one(pending, sink, report, on_progress)
         finally:
             executor.shutdown(wait=True)
-            if self._transport is not None:
-                # Error-path sweep: normal drains already released
-                # their leases; this reclaims segments stranded by an
-                # exception or cancellation mid-flight.
-                self._transport.close_all()
         if self.adapter is not None:
             report.drift_events = self.adapter.drift_events - drift_before
             report.refits = self.adapter.refits - refits_before
@@ -752,39 +736,24 @@ class StreamingRuntime:
     def _submit(
         self, executor, chunk: list[ChunkItem], pending: deque
     ) -> None:
-        lease: Optional[str] = None
-        if self._transport is not None:
-            staged = self._transport.stage(chunk)
-            lease = staged.segment
-            worker = _process_chunk_shm if lease is not None else _process_chunk
-            try:
-                future = executor.submit(worker, staged.payload)
-            except BaseException:
-                # Staging succeeded but no future exists to carry the
-                # lease: without this release the segment would only
-                # fall to the close_all() sweep — or leak outright if
-                # the caller swallows the submit failure.
-                if lease is not None:
-                    self._transport.release(lease)
-                raise
+        if self.executor_kind == "process":
+            future = executor.submit(
+                _process_chunk,
+                [
+                    (index, cluster, page.url, page.html)
+                    for index, cluster, page in chunk
+                ],
+            )
         else:
             future = executor.submit(_extract_chunk, self._wrappers, chunk)
-        pending.append((future, lease))
+        pending.append(future)
 
     def _drain_one(
         self, pending: deque, sink: ResultSink, report: RuntimeReport,
         on_progress: Optional[Callable[[RuntimeReport], None]],
     ) -> None:
         """Sink the oldest in-flight chunk's records, in stream order."""
-        future, lease = pending.popleft()
-        try:
-            outcomes = future.result()
-        finally:
-            # The segment lease must drop however the chunk ended —
-            # success, an extraction error or a dead worker alike.
-            if lease is not None:
-                self._transport.release(lease)
-        for outcome in outcomes:
+        for outcome in pending.popleft().result():
             sink.write(self._finish(outcome, report))
         if on_progress is not None:
             on_progress(report)

@@ -17,25 +17,6 @@ from repro.html import parse_html
 from repro.sites.imdb import ImdbOptions, generate_imdb_site, make_paper_sample
 
 
-@pytest.fixture(scope="session", autouse=True)
-def no_leaked_shm_segments():
-    """Fail the run if any test strands a shared-memory page segment.
-
-    The zero-copy transport names every segment with a recognisable
-    prefix exactly so leaks are detectable; CI re-checks ``/dev/shm``
-    after the suite, and this fixture gives the same signal locally.
-    """
-    import glob
-
-    from repro.service.transport import SEGMENT_PREFIX
-
-    pattern = f"/dev/shm/{SEGMENT_PREFIX}*"
-    before = set(glob.glob(pattern))
-    yield
-    leaked = set(glob.glob(pattern)) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
 @pytest.fixture(scope="session")
 def paper_sample():
     """The four pages of the paper's working sample (Tables 1/3)."""

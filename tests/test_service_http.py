@@ -304,6 +304,60 @@ class TestProtocol:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("length", [b"+55", b"5_5", b"-0"])
+    def test_content_length_is_digits_only(self, handler, length):
+        # RFC 9112: 1*DIGIT.  int() reads each of these as a number
+        # (the first two as the length of the body sent).
+        status, _, _ = self._refused(
+            handler,
+            b"POST /extract HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n" + b"x" * 55,
+        )
+        assert status == 400
+
+    @pytest.mark.parametrize("size", [b"0x37", b"+37", b"3_7"])
+    def test_chunk_size_is_hex_digits_only(self, handler, size):
+        # RFC 9112: 1*HEXDIG.  int(size, 16) reads each of these as
+        # 0x37, the length of the chunk sent.
+        status, _, _ = self._refused(
+            handler,
+            b"POST /extract HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + size + b"\r\n" + b"x" * 0x37 + b"\r\n0\r\n\r\n",
+        )
+        assert status == 400
+
+    def test_negative_chunk_size_cannot_lift_the_body_cap(self, handler):
+        # A size of -1 lowers a lenient parser's byte count and makes
+        # its next read a read(-1): to EOF, past the cap.
+        body = b"".join(
+            b'{"url": "http://x/%d", "html": "<body><h1>T</h1></body>"}\n'
+            % i for i in range(20)
+        )
+        raw = (
+            b"POST /batch HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n-1\r\n" + body
+        )
+
+        async def scenario(front):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", front.port
+            )
+            writer.write(raw)
+            writer.write_eof()
+            status, _, payload = await _read_response(reader)
+            writer.close()
+            return status, payload.decode("utf-8").splitlines()
+
+        (status, lines), front = _with_front_end(
+            handler, scenario, max_body_bytes=100
+        )
+        assert len(body) > 1000
+        assert status == 200  # /batch streams its head before the body
+        assert len(lines) == 1  # the terminal error marker, no record
+        assert "malformed chunk size" in json.loads(lines[0])["error"]
+        assert front.stats.protocol_errors == 1
+
     def test_malformed_chunk_terminator_is_400(self, handler):
         status, _, _ = self._refused(
             handler,
@@ -577,9 +631,12 @@ class TestBatchStreaming:
         # Split at awkward boundaries: mid-line, mid-multibyte is fine
         # too (lines are reassembled before decoding).
         pieces = [payload[:10], payload[10:999], payload[999:]]
+        # Either hex case, and extensions after optional spaces or
+        # tabs, are valid chunk-size lines (RFC 9112 §7.1).
+        size_lines = [b"%x\r\n", b"%X;name=value\r\n", b"%x \t;ext\r\n"]
         chunked = b"".join(
-            b"%x\r\n" % len(piece) + piece + b"\r\n"
-            for piece in pieces if piece
+            size_line % len(piece) + piece + b"\r\n"
+            for size_line, piece in zip(size_lines, pieces) if piece
         ) + b"0\r\n\r\n"
         head = (
             "POST /batch HTTP/1.1\r\nHost: t\r\n"

@@ -441,8 +441,9 @@ class TestCancellation:
         assert sink.records == []
         assert "interrupted" in report.summary()
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_mid_run_cancel_keeps_output_line_complete(
-        self, service_repository, service_site
+        self, service_repository, service_site, workers
     ):
         pages = service_site.pages_with_hint("imdb-movies")[:20]
         token = CancellationToken()
@@ -453,7 +454,7 @@ class TestCancellation:
             token.cancel()
 
         runtime = StreamingRuntime(
-            service_repository, executor="inline", chunk_size=2,
+            service_repository, workers=workers, chunk_size=2,
             ordered=True,
         )
         sink = CollectingSink()

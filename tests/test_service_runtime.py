@@ -1,10 +1,19 @@
 """The streaming runtime: sources, ordered emission, executors, one page."""
 
 import dataclasses
+import glob
+import json
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import repro.service.runtime as runtime_module
+from repro.core.repository import RuleRepository
 from repro.service.compiler import CompiledWrapper
 from repro.service.metrics import MetricsRegistry, parse_exposition
 from repro.service.runtime import (
@@ -12,9 +21,14 @@ from repro.service.runtime import (
     LoadingPageSource,
     OrderedEmitter,
     StreamingRuntime,
+    _extract_chunk,
+    _init_process_worker,
+    _process_chunk,
 )
 from repro.service.sink import CollectingSink, PageRecord
 from repro.sites.page import WebPage
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _record(index: int) -> PageRecord:
@@ -425,3 +439,158 @@ class TestProcessPage:
         parsed = parse_exposition(registry.render())
         failed = parsed["repro_pages_failed_total"]
         assert failed['repro_pages_failed_total{cluster="imdb-movies"}'] == 1
+
+
+#: Runs a 2-process ``StreamingRuntime`` and prints the pages served and
+#: the pids of the children the run left behind.
+_CHILDREN_AFTER_RUN = """
+import glob, json, sys
+from repro.core.repository import RuleRepository
+from repro.service.runtime import IterablePageSource, StreamingRuntime
+from repro.sites.page import WebPage
+
+def children():
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as handle:
+                pids.update(handle.read().split())
+        except FileNotFoundError:  # the thread has exited
+            pass
+    return pids
+
+rules, pages = sys.argv[1:]
+with open(pages, encoding="utf-8") as handle:
+    pages = [WebPage(**item) for item in json.load(handle)]
+runtime = StreamingRuntime(
+    RuleRepository.load(rules), workers=2, chunk_size=4
+)
+before = children()
+report = runtime.run(IterablePageSource(pages))
+print(json.dumps(
+    {"served": report.pages_served, "left": sorted(children() - before)}
+))
+"""
+
+
+class TestProcessPool:
+    """The process executor: chunk payload, worker start-up, teardown."""
+
+    def test_process_chunk_matches_inline_extraction(
+        self, service_repository, service_site, monkeypatch
+    ):
+        movies = service_site.pages_with_hint("imdb-movies")[:3]
+        actors = service_site.pages_with_hint("imdb-actors")[:3]
+        chunk = [
+            (i, page.cluster_hint, page)
+            for i, page in enumerate(movies + actors)
+        ]
+        # The worker start-up sets a module global; restore it after.
+        monkeypatch.setattr(runtime_module, "_WORKER_WRAPPERS", {})
+        _init_process_worker(service_repository.to_dict())
+        pooled = _process_chunk(
+            [(i, cluster, page.url, page.html) for i, cluster, page in chunk]
+        )
+        inline = _extract_chunk(service_repository.compile_all(), chunk)
+        # Everything but the per-page extraction seconds (last slot).
+        assert [outcome[:-1] for outcome in pooled] == [
+            outcome[:-1] for outcome in inline
+        ]
+        assert [outcome[:2] for outcome in pooled] == [
+            (i, cluster) for i, cluster, _ in chunk
+        ]
+
+    def test_worker_death_breaks_the_run(
+        self, service_repository, service_site
+    ):
+        class _PoisonedRepository(RuleRepository):
+            # Workers re-hydrate the repository from this dict; a
+            # poisoned payload kills every worker at initialisation.
+            def to_dict(self):
+                return {"version": "not-a-real-format"}
+
+        poisoned = _PoisonedRepository()
+        for cluster, rule in service_repository:
+            poisoned.record(cluster, rule)
+        runtime = StreamingRuntime(
+            poisoned, workers=2, chunk_size=4, metrics=MetricsRegistry(),
+        )
+        with pytest.raises(BrokenProcessPool):
+            runtime.run_collect(IterablePageSource(
+                service_site.pages_with_hint("imdb-movies")[:16]
+            ))
+
+    def test_lone_surrogate_page_gives_the_same_record_on_the_pool(
+        self, service_repository, service_site
+    ):
+        # A library caller may pass any str.  The pool gets the page
+        # pickled, so it sees exactly the string the parent routed.
+        page = service_site.pages_with_hint("imdb-movies")[0]
+        odd = WebPage(
+            url=page.url,
+            html=page.html.replace("<h1>", "<h1>\ud800", 1),
+            cluster_hint=page.cluster_hint,
+        )
+        inline, pooled = (
+            StreamingRuntime(
+                service_repository, workers=workers,
+                metrics=MetricsRegistry(),
+            ).run_collect(IterablePageSource([odd]))[1]
+            for workers in (1, 2)
+        )
+        assert pooled == inline
+        assert "\ud800" in inline[0].values["title"][0]
+
+    def test_process_run_leaves_no_child_process(
+        self, service_repository, service_site, tmp_path
+    ):
+        if not glob.glob("/proc/self/task/*/children"):
+            pytest.skip("needs /proc/<pid>/task/<tid>/children (Linux)")
+        rules = tmp_path / "rules.json"
+        service_repository.save(rules)
+        pages = tmp_path / "pages.json"
+        pages.write_text(json.dumps([
+            {"url": page.url, "html": page.html,
+             "cluster_hint": page.cluster_hint}
+            for page in service_site.pages_with_hint("imdb-movies")[:12]
+        ]), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        # A fresh interpreter: a helper process an earlier test started
+        # in this one would hide a leak, or pass for one.
+        result = subprocess.run(
+            [sys.executable, "-c", _CHILDREN_AFTER_RUN, str(rules),
+             str(pages)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"served": 12, "left": []}
+
+
+class TestWorkerSeconds:
+    """The run report and ``/metrics`` tell one story per cluster."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_seconds_are_the_extract_seconds_sum(
+        self, service_repository, service_site, workers
+    ):
+        metrics = MetricsRegistry()
+        runtime = StreamingRuntime(
+            service_repository, workers=workers, chunk_size=4,
+            metrics=metrics,
+        )
+        source = IterablePageSource(
+            service_site.pages_with_hint("imdb-movies")[:12]
+            + service_site.pages_with_hint("imdb-actors")[:8]
+        )
+        report, _ = runtime.run_collect(source)
+        extract = parse_exposition(metrics.render())["repro_extract_seconds"]
+        assert set(report.per_cluster) == {"imdb-movies", "imdb-actors"}
+        for cluster, stats in report.per_cluster.items():
+            observed = extract[
+                f'repro_extract_seconds_sum{{cluster="{cluster}"}}'
+            ]
+            assert stats.worker_seconds > 0
+            assert stats.worker_seconds == pytest.approx(observed, rel=1e-9)
