@@ -1081,10 +1081,9 @@ def _serve_multiworker(handler, args) -> int:
             hooked.append(signal.SIGTERM)
         except (NotImplementedError, ValueError, RuntimeError):
             pass  # platform (or thread) without loop signal handlers
-        mode = "gateway" if args.gateway else supervisor.mode
         print(
             f"serving HTTP on {host}:{supervisor.port} with "
-            f"{supervisor.workers} worker(s) ({mode})",
+            f"{supervisor.workers} worker(s) ({supervisor.mode})",
             file=sys.stderr, flush=True,
         )
         if not args.gateway:
@@ -1772,9 +1771,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "a free port)")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="pre-fork N HTTP ingress children behind one "
-                            "port (needs --http; SO_REUSEPORT kernel "
-                            "balancing where available, one inherited "
-                            "listener elsewhere)")
+                            "port (needs --http; each child binds it with "
+                            "SO_REUSEPORT and the kernel spreads "
+                            "connections; --gateway spreads batches)")
     serve.add_argument("--gateway", action="store_true",
                        help="the supervisor owns the public port and fans "
                             "POST /batch across the workers in fixed-size "

@@ -27,7 +27,9 @@ Every entry point is a composition over the same
   the runtime's ``process_page``, under the asyncio stdin front-end or
   the HTTP ingress (:mod:`repro.service.http`), both sharing one
   :class:`~repro.service.serve.ServeHandler` and
-  :class:`~repro.service.serve.ServePolicy`;
+  :class:`~repro.service.serve.ServePolicy`; a pre-fork fleet
+  (:mod:`repro.service.supervisor`) runs that one HTTP server in every
+  worker and on its own port;
 * online adaptation (:mod:`repro.service.adapt`) — sliding-window
   drift detection over the served stream, answered by incremental
   router refits (recomputed centroids, atomic swap) with an auditable
@@ -127,7 +129,6 @@ from repro.service.supervisor import (
     ServeSupervisor,
     SupervisorStats,
     restart_backoff,
-    reuseport_available,
     slice_body,
 )
 from repro.service.sink import (
@@ -216,7 +217,6 @@ __all__ = [
     "parse_exposition",
     "render_metrics_table",
     "restart_backoff",
-    "reuseport_available",
     "serve_async",
     "shard_statuses",
     "slice_body",

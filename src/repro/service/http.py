@@ -7,6 +7,11 @@ ServeHandler` the stdin loop drives, so a page POSTed over HTTP yields
 a record **byte-identical** to what ``serve`` writes on stdout for the
 same input line.
 
+:class:`HttpFrontEnd` is the serving tier's one HTTP server: a
+multi-worker fleet (:mod:`repro.service.supervisor`) runs it in every
+child and on the supervisor's own port, which overrides only the
+endpoint bodies.
+
 The record stream is the protocol: application-level failures
 (malformed request JSON, unparseable HTML, unroutable pages, handler
 crashes) come back as error *records* with HTTP 200, exactly as on
@@ -79,6 +84,11 @@ DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 #: parsers read differently is a request-smuggling vector.
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
 _CHUNK_SIZE_LINE = re.compile(r"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n]*)?\r?\n?")
+
+#: RFC 9110 §5.1: a field name is a ``token`` (so ``Name : v`` is a 400,
+#: RFC 9112 §5.1).  Only SP and HTAB pad a value: ``str.strip()`` would
+#: also eat control bytes, ``\x85`` and ``\xa0``.
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 #: Seconds a graceful shutdown waits for in-flight requests before
 #: force-closing their connections.
@@ -205,10 +215,14 @@ async def _read_request_head(reader) -> Optional[_Request]:
         total += len(line)
         if total > MAX_HEADER_BYTES:
             raise HttpProtocolError(431, "header block too large")
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep or not name.strip():
+        text = line.decode("latin-1").removesuffix("\n").removesuffix("\r")
+        if text.startswith((" ", "\t")):
+            # RFC 9112 §5.2: obsolete line folding; refuse, never unfold.
+            raise HttpProtocolError(400, "header line starts with whitespace")
+        name, sep, value = text.partition(":")
+        if not sep or not _FIELD_NAME.fullmatch(name):
             raise HttpProtocolError(400, f"malformed header {name!r}")
-        headers[name.strip().lower()] = value.strip()
+        headers[name.lower()] = value.strip(" \t")
     return _Request(method, target, version, headers)
 
 
@@ -405,6 +419,34 @@ def _write_payload_response(
     ]) + body)
 
 
+def _open_record_stream(request: _Request, writer):
+    """Send a streaming NDJSON ``200`` head; return ``(write, chunked)``.
+
+    HTTP/1.1 gets one chunk per record line and may keep the
+    connection; HTTP/1.0 predates chunked (RFC 9112 §7.1), so its
+    stream ends at the close.  ``write(record)`` appends the newline
+    and says whether the connection is still open; the caller sends a
+    chunked stream's last chunk.
+    """
+    chunked = request.version == "HTTP/1.1"
+    headers = [("Content-Type", "application/x-ndjson; charset=utf-8")]
+    if chunked:
+        headers.append(("Transfer-Encoding", "chunked"))
+    keep_alive = chunked and request.keep_alive
+    headers.append(("Connection", "keep-alive" if keep_alive else "close"))
+    writer.write(_response_head(200, headers))
+
+    def write(record: bytes) -> bool:
+        data = record + b"\n"
+        if chunked:
+            writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
+        else:
+            writer.write(data)
+        return not writer.is_closing()
+
+    return write, chunked
+
+
 def _error_body(message: str) -> bytes:
     # serve._dumps is the one record serializer every front-end's
     # byte-identity rests on; error bodies go through it too.
@@ -471,8 +513,9 @@ class HttpFrontEnd:
         self.host = host
         self.port = port
         #: A pre-bound, already-listening socket to serve on instead of
-        #: binding ``host:port`` — the supervisor's fork-and-inherit
-        #: fallback hands each child the same listener this way.
+        #: binding ``host:port`` — a shared-port child's ``SO_REUSEPORT``
+        #: listener, or the supervisor's own port, bound before the
+        #: fork so that no address is resolved on an executor thread.
         self._sock = sock
         #: Stamped by the supervisor so an operator hitting the shared
         #: REUSEPORT port can tell which child answered /healthz.
@@ -541,9 +584,9 @@ class HttpFrontEnd:
                            port: int = 0) -> int:
         """Bind one extra listener answering on the same handler.
 
-        The supervisor gives each child a private control listener this
-        way (the parent's aggregation and gateway traffic must reach a
-        *specific* child, which the shared REUSEPORT port cannot
+        The supervisor gives each shared-port child a private control
+        listener this way (the parent's aggregation traffic must reach
+        a *specific* child, which the shared REUSEPORT port cannot
         guarantee).  Returns the bound port; closed by :meth:`shutdown`
         alongside the primary listener.
         """
@@ -586,14 +629,13 @@ class HttpFrontEnd:
         # repeated shutdown() call must not recount survivors).
         drained = 0 if self._closing else len(self._connections)
         self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for server in self._extra_servers:
-            server.close()
-            await server.wait_closed()
+        servers = [
+            s for s in (self._server, *self._extra_servers) if s is not None
+        ]
+        self._server = None
         self._extra_servers = []
+        for server in servers:
+            server.close()
         for connection in list(self._connections.values()):
             if not connection.busy:
                 connection.writer.close()
@@ -611,6 +653,11 @@ class HttpFrontEnd:
                 # Anything left is wedged inside the handler itself;
                 # leave it behind rather than hang the shutdown.
                 wedged = bool(still)
+        for server in servers:
+            # From Python 3.12.1 this waits for every connection to
+            # drop, so it comes after the drain: an idle keep-alive
+            # client would otherwise hold the shutdown forever.
+            await server.wait_closed()
         if self._pool is not None:
             self._pool.shutdown(wait=not wedged)
             self._pool = None
@@ -867,31 +914,11 @@ class HttpFrontEnd:
         self._answer_expect(request, writer)
         # The response head goes out before the body has fully arrived:
         # from here on, failures are records in the stream, not status
-        # codes (the client already has its 200).  HTTP/1.1 clients
-        # get chunked framing (and may keep the connection); HTTP/1.0
-        # predates chunked (RFC 9112 §7.1), so it gets the raw NDJSON
-        # stream delimited by connection close.
-        chunked = request.version == "HTTP/1.1"
-        if chunked:
-            writer.write(_response_head(200, [
-                ("Content-Type", "application/x-ndjson; charset=utf-8"),
-                ("Transfer-Encoding", "chunked"),
-                ("Connection",
-                 "keep-alive" if request.keep_alive else "close"),
-            ]))
-        else:
-            writer.write(_response_head(200, [
-                ("Content-Type", "application/x-ndjson; charset=utf-8"),
-                ("Connection", "close"),
-            ]))
+        # codes (the client already has its 200).
+        write, chunked = _open_record_stream(request, writer)
 
         def _write_chunk(line: str) -> bool:
-            data = (line + "\n").encode("utf-8")
-            if chunked:
-                writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
-            else:
-                writer.write(data)
-            return not writer.is_closing()
+            return write(line.encode("utf-8"))
 
         request_stats = ServeStats()
         pipeline = AsyncLinePipeline(
@@ -958,16 +985,30 @@ class HttpFrontEnd:
             and not self._closing
         )
 
-    async def _handle_healthz(self, request, reader, writer) -> bool:
+    async def _discard_stray_body(self, request, reader) -> None:
+        """Consume the body a ``GET`` nonetheless ships.
+
+        ``curl -d`` with ``-X GET`` does that; unread, its bytes would
+        prefix the next request line on this keep-alive connection.
+        """
         if (
             "content-length" in request.headers
             or "transfer-encoding" in request.headers
         ):
-            # A GET that nonetheless ships a body (curl -d with -X
-            # GET): consume it, or its bytes would prefix the next
-            # request line on this keep-alive connection.
             body = _framed_body(request, reader, self.max_body_bytes)
             await _read_whole_body(body, self.max_body_bytes)
+
+    async def _handle_healthz(self, request, reader, writer) -> bool:
+        await self._discard_stray_body(request, reader)
+        payload = await self._health()
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        keep_alive = request.keep_alive and not self._closing
+        _write_payload_response(writer, 200, body, keep_alive)
+        self._count_request("/healthz", 200)
+        return keep_alive
+
+    async def _health(self) -> dict:
+        """The ``/healthz`` payload: liveness plus session counters."""
         adapter = getattr(self.handler, "adapter", None)
         deployer = getattr(adapter, "deployer", None)
         canary = deployer.status() if deployer is not None else {}
@@ -994,36 +1035,24 @@ class HttpFrontEnd:
         if self.worker_id is not None:
             payload["worker_id"] = self.worker_id
             payload["pid"] = os.getpid()
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        keep_alive = request.keep_alive and not self._closing
-        _write_payload_response(writer, 200, body, keep_alive)
-        self._count_request("/healthz", 200)
-        return keep_alive
+        return payload
 
     async def _handle_metrics(self, request, reader, writer) -> bool:
-        """``GET /metrics``: the registry in Prometheus text format.
+        """``GET /metrics``: the exposition in Prometheus text format.
 
-        Renders the handler's registry (the process-wide one, for CLI
-        deployments), so one scrape covers the runtime, router,
-        adaptive layer, canary controller and this ingress.  Exempt
-        from admission control — observability of a saturated server
-        is the whole point.
+        Exempt from admission control — observability of a saturated
+        server is the whole point.
         """
-        if (
-            "content-length" in request.headers
-            or "transfer-encoding" in request.headers
-        ):
-            # Same stray-body hygiene as /healthz.
-            body_framer = _framed_body(request, reader, self.max_body_bytes)
-            await _read_whole_body(body_framer, self.max_body_bytes)
-        body = self._metrics.render().encode("utf-8")
+        await self._discard_stray_body(request, reader)
+        body = (await self._exposition()).encode("utf-8")
         keep_alive = request.keep_alive and not self._closing
         _write_payload_response(
-            writer,
-            200,
-            body,
-            keep_alive,
+            writer, 200, body, keep_alive,
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
         self._count_request("/metrics", 200)
         return keep_alive
+
+    async def _exposition(self) -> str:
+        """The handler's registry: every layer's series, one scrape."""
+        return self._metrics.render()

@@ -7,41 +7,42 @@ the shared :class:`~repro.service.serve.ServeHandler`), then forks N
 ingress children that inherit the compiled artifact for free —
 copy-on-write, no per-worker compile, no version skew.
 
-Socket strategy, in preference order:
+Two modes, each of which wins one traffic shape:
 
-* ``SO_REUSEPORT`` — each child binds its own listening socket on the
-  shared address and the kernel load-balances accepted connections
-  across them.  The parent holds a bound (never listening) probe
-  socket on the same address, so ``--http :0`` resolves one concrete
-  port that stays reserved across child restarts without the probe
-  ever stealing a connection.
-* fork-and-inherit fallback — where ``SO_REUSEPORT`` is unavailable
-  the parent binds and listens once and every child serves the
-  inherited socket (accept contention instead of kernel balancing,
-  but the same address semantics).
+* **Shared port** (the default; best for many small ``/extract``
+  requests) — each child binds its own ``SO_REUSEPORT`` listener on
+  the public address and the kernel load-balances accepted
+  connections across them.  The parent holds a bound (never
+  listening) probe socket on the same address, so ``--http :0``
+  resolves one concrete port that stays reserved across child
+  restarts without the probe ever stealing a connection.  The
+  parent's own port is a status port.
+* **Gateway** (``--gateway``; the only mode that spreads one large
+  ``/batch``) — the children bind loopback-only and the parent owns
+  the public port, fanning ``POST /batch`` bodies across workers in
+  fixed-size line slices (:func:`slice_body`).  Slice outputs are
+  buffered whole and streamed back in input order; a slice whose
+  worker dies mid-response is re-run from its
+  :class:`~repro.service.shard.SliceCheckpoint` on another worker, so
+  the merged stream is byte-identical to a single-process ``batch``
+  run even across a worker crash.
+
+The parent's port — public in gateway mode, status otherwise — runs
+on the same :class:`~repro.service.http.HttpFrontEnd` as every child,
+so framing, refusals, admission and the drain are one code path; only
+the endpoint bodies differ.  ``GET /healthz`` sums every child's
+health payload and ``GET /metrics`` merges the children's expositions
+with the supervisor's own series (``repro_serve_workers_active``,
+``repro_worker_restarts_total``, per-child
+``repro_worker_requests_total``).
 
 The supervisor owns the lifecycle: a watcher reaps dead children and
 restarts them under bounded exponential backoff
 (:func:`restart_backoff`, giving up after
-:data:`MAX_CONSECUTIVE_FAILURES` rapid deaths of one slot); one
-SIGTERM fans out to every child and drains the fleet; the first SIGINT
-does the same (stop admitting everywhere), a second SIGINT aborts —
-the single-process contract, fleet-wide.  The parent also serves an
-aggregation endpoint: ``GET /healthz`` sums every child's health
-payload and ``GET /metrics`` merges the children's expositions with
-the supervisor's own series (``repro_serve_workers_active``,
-``repro_worker_restarts_total``, per-child
-``repro_worker_requests_total``).
-
-Gateway mode (``--gateway``) inverts who owns the public port: the
-children bind loopback-only and the parent listens on the public
-address, fanning ``POST /batch`` bodies across workers in fixed-size
-line slices (:func:`slice_body`).  Slice outputs are buffered whole
-and streamed back in input order; a slice whose worker dies
-mid-response is re-run from its
-:class:`~repro.service.shard.SliceCheckpoint` on another worker, so
-the merged stream is byte-identical to a single-process ``batch`` run
-even across a worker crash.
+:data:`MAX_CONSECUTIVE_FAILURES` rapid deaths of one slot).  SIGTERM,
+or a first SIGINT, drains from the outside in, as one process does:
+the parent's port finishes what it admitted, then the children get
+SIGTERM and drain theirs; a second SIGINT aborts.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import asyncio
 import dataclasses
 import json
 import os
+import re
 import signal
 import socket
 import sys
@@ -61,12 +63,9 @@ from repro.service.http import (
     DEFAULT_MAX_BODY_BYTES,
     HttpFrontEnd,
     HttpProtocolError,
-    _REASONS,
-    _error_body,
     _framed_body,
-    _read_request_head,
+    _open_record_stream,
     _read_whole_body,
-    _response_head,
     _write_payload_response,
 )
 from repro.service.metrics import (
@@ -85,7 +84,6 @@ __all__ = [
     "ServeSupervisor",
     "SupervisorStats",
     "restart_backoff",
-    "reuseport_available",
     "slice_body",
 ]
 
@@ -114,23 +112,16 @@ STABLE_SECONDS = 5.0
 #: Parent poll interval for ``waitpid(WNOHANG)`` reaping.
 _REAP_POLL_SECONDS = 0.1
 
+#: The session counters every front-end reports (exit summary,
+#: ``/healthz``).
+_SESSION_COUNTS = (
+    "connections", "requests", "pages", "served",
+    "protocol_errors", "rate_limited", "shed", "drained_connections",
+)
 
-def reuseport_available() -> bool:
-    """Whether this platform accepts ``SO_REUSEPORT`` on TCP sockets.
-
-    Linux >= 3.9 and the modern BSDs do; elsewhere the supervisor
-    falls back to one inherited listening socket.
-    """
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    except OSError:
-        return False
-    finally:
-        probe.close()
-    return True
+#: A ``repro_http_*`` exposition line (sample, ``HELP`` or ``TYPE``):
+#: those series describe whoever answered the connections.
+_HTTP_SERIES_LINE = re.compile(r"(?:# (?:HELP|TYPE) )?repro_http_")
 
 
 def restart_backoff(failures: int) -> float:
@@ -182,12 +173,15 @@ class GatewayError(Exception):
 
 @dataclasses.dataclass
 class SupervisorStats:
-    """What one supervised serve session did, fleet-wide."""
+    """What one supervised serve session did, fleet-wide.
+
+    Children's counts come from their exit reports (clean exits only).
+    ``pages`` and ``served`` are theirs; the connection counts describe
+    the public port, so in gateway mode the parent's own port keeps them.
+    """
 
     workers: int = 0
     restarts: int = 0
-    #: Summed from the children's exit reports (clean exits only — a
-    #: SIGKILLed child takes its session counters with it).
     connections: int = 0
     requests: int = 0
     pages: int = 0
@@ -213,7 +207,6 @@ class _Child:
         self.failures = failures
         self.given_up = False
         self.ready = False
-        self.port: Optional[int] = None
         self.control_port: Optional[int] = None
 
     @property
@@ -237,13 +230,19 @@ class ServeSupervisor:
         status_port: non-gateway mode only — where the parent serves
             the aggregated ``/healthz`` and ``/metrics`` (0 picks a
             free port; gateway mode serves them on the public port).
-        max_body_bytes, drain_timeout: per-child front-end knobs,
-            mirroring :class:`~repro.service.http.HttpFrontEnd`.
+        max_body_bytes, drain_timeout: front-end knobs, mirroring
+            :class:`~repro.service.http.HttpFrontEnd`, for the
+            children and the parent's own port alike.
         metrics: the supervisor's own registry (restart counters, the
-            active-workers gauge, gateway slice counters).  Kept
-            *separate* from the handler's registry on purpose: the
-            children inherited a fork-time copy of that one, so the
-            parent's aggregation must never render it twice.
+            active-workers gauge, gateway slice counters, the parent
+            port's HTTP series).  Kept *separate* from the handler's
+            registry on purpose: the children inherited a fork-time
+            copy of that one, so the parent's aggregation must never
+            render it twice.
+
+    The supervisor is also its own port's handler: it carries the
+    ``policy``, ``metrics`` and ``admission`` an
+    :class:`~repro.service.http.HttpFrontEnd` reads.
     """
 
     def __init__(
@@ -278,39 +277,41 @@ class ServeSupervisor:
             "repro_worker_restarts_total"
         )
         self._m_slices = self.metrics.from_spec("repro_gateway_slices_total")
-        policy = handler.policy
+        self.policy = handler.policy
         # Gateway mode: admission is enforced here, at the public
         # ingress, with the handler's own policy — the children's
         # controllers are disabled so the parent's slice fan-out is
         # never rate-limited against itself.
-        self._admission = AdmissionController(
-            rate_limit=policy.rate_limit,
-            rate_burst=policy.rate_burst,
-            max_concurrent=policy.max_concurrent_requests,
+        self.admission = AdmissionController(
+            rate_limit=self.policy.rate_limit,
+            rate_burst=self.policy.rate_burst,
+            max_concurrent=self.policy.max_concurrent_requests,
             metrics=self.metrics,
         )
         self.stats = SupervisorStats(workers=workers)
-        self.mode = ""  # "reuseport" | "inherit" | "gateway"
+        self.mode = "gateway" if gateway else "reuseport"
         self.failed = False
+        #: The counters the children's reports contribute; a gateway's
+        #: connection counts are its own port's (see SupervisorStats).
+        self._child_counts = ("pages", "served") if gateway else _SESSION_COUNTS
         self._children: Dict[int, _Child] = {}
         self._family = socket.AF_INET
         self._bind_addr: tuple = (host, port)
         self._probe_sock: Optional[socket.socket] = None
-        self._shared_sock: Optional[socket.socket] = None
         self._listen_sock: Optional[socket.socket] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._front: Optional[_FleetPort] = None
         self._watcher: Optional[asyncio.Task] = None
+        self._drain_task: Optional[asyncio.Task] = None
         self._restart_tasks: set[asyncio.Task] = set()
-        #: fds of the parent's live connections (accepted clients and
-        #: in-flight requests to children).  A restart fork would make
-        #: the new child inherit copies of them, and a client waiting
-        #: for the parent's FIN would then hang until that child died —
-        #: every fresh child closes these first thing instead.
+        #: fds of the parent's in-flight requests to children.  A
+        #: restart fork would make the new child inherit copies of them
+        #: (and of the parent port's client connections), and a peer
+        #: waiting for the parent's FIN would then hang until that
+        #: child died — every fresh child closes them first thing.
         self._client_fds: set[int] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
         self._stopping = False
-        self._aborted = False
         self._shut_down = False
         self._interrupts = 0
         self._rr = 0
@@ -336,42 +337,29 @@ class ServeSupervisor:
     def _bind_sockets(self) -> None:
         self._resolve_bind()
         if self.gateway:
-            self.mode = "gateway"
             self._listen_sock = self._make_listener(self._bind_addr)
             self.port = self._listen_sock.getsockname()[1]
             self.status_port = self.port
             return
-        if reuseport_available():
-            self.mode = "reuseport"
-            # Bound but never listening: reserves the port (and keeps
-            # it stable across child restarts) without ever joining
-            # the accept distribution group.
-            probe = socket.socket(self._family, socket.SOCK_STREAM)
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            probe.bind(self._bind_addr)
-            self._probe_sock = probe
-            self.port = probe.getsockname()[1]
-            self._bind_addr = probe.getsockname()
-        else:
-            self.mode = "inherit"
-            self._shared_sock = self._make_listener(self._bind_addr)
-            self.port = self._shared_sock.getsockname()[1]
+        # Bound but never listening: reserves the port (and keeps it
+        # stable across child restarts) without ever joining the accept
+        # distribution group.
+        probe = socket.socket(self._family, socket.SOCK_STREAM)
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        probe.bind(self._bind_addr)
+        self._probe_sock = probe
+        self._bind_addr = probe.getsockname()
+        self.port = self._bind_addr[1]
         status_addr = (self._bind_addr[0], self.status_port)
         self._listen_sock = self._make_listener(status_addr)
         self.status_port = self._listen_sock.getsockname()[1]
 
-    def _make_listener(self, sockaddr) -> socket.socket:
+    def _make_listener(
+        self, sockaddr, option: int = socket.SO_REUSEADDR
+    ) -> socket.socket:
         sock = socket.socket(self._family, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.setsockopt(socket.SOL_SOCKET, option, 1)
         sock.bind(sockaddr)
-        sock.listen(128)
-        sock.setblocking(False)
-        return sock
-
-    def _make_reuseport_socket(self) -> socket.socket:
-        sock = socket.socket(self._family, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind(self._bind_addr)
         sock.listen(128)
         sock.setblocking(False)
         return sock
@@ -405,13 +393,11 @@ class ServeSupervisor:
         tracer cannot report (``os._exit`` skips its atexit save)
         — exercised by the subprocess integration tests instead.
         """
-        for other in self._children.values():
-            if other.read_fd is not None:
-                try:
-                    os.close(other.read_fd)
-                except OSError:  # pragma: no cover - already closed
-                    pass
-        for fd in self._client_fds:
+        fds = {c.read_fd for c in self._children.values() if c.read_fd is not None}
+        fds.update(self._client_fds)
+        if self._front is not None:
+            fds.update(self._front.client_fds())
+        for fd in fds:
             try:
                 os.close(fd)
             except OSError:  # pragma: no cover - already closed
@@ -448,31 +434,33 @@ class ServeSupervisor:
         os._exit(code)
 
     async def _child_serve(self, slot: int, status) -> int:  # pragma: no cover
-        host, port = self._bind_addr[0], self.port
         sock = None
-        if self.mode == "inherit":
-            sock = self._shared_sock
-        elif self.mode == "reuseport":
-            sock = self._make_reuseport_socket()
-        else:  # gateway children are loopback-only; the parent fronts
-            host, port = "127.0.0.1", 0
         if self.gateway:
             # Admission moved to the parent's public ingress; a child
             # must admit every slice the gateway sends it.
             self.handler.admission = AdmissionController(
                 metrics=self.handler.metrics
             )
+        else:
+            sock = self._make_listener(self._bind_addr, socket.SO_REUSEPORT)
+        # A gateway child binds a loopback port of its own instead.
         front = HttpFrontEnd(
             self.handler,
-            host=host,
-            port=port,
+            host="127.0.0.1",
+            port=0,
             max_body_bytes=self.max_body_bytes,
             drain_timeout=self.drain_timeout,
             sock=sock,
             worker_id=str(slot),
         )
         await front.start()
-        control_port = await front.add_listener("127.0.0.1", 0)
+        # The parent must reach this very child: a gateway child's own
+        # port does; the kernel picks who answers a shared port, so a
+        # shared-port child adds a private listener.
+        if self.gateway:
+            control_port = front.port
+        else:
+            control_port = await front.add_listener("127.0.0.1", 0)
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -481,7 +469,7 @@ class ServeSupervisor:
                 pass  # pragma: no cover - platform without loop signals
         status.write(json.dumps({
             "event": "ready", "slot": slot, "pid": os.getpid(),
-            "port": front.port, "control_port": control_port,
+            "control_port": control_port,
         }) + "\n")
         await front.wait_stopped()
         stats = await front.shutdown()
@@ -527,16 +515,11 @@ class ServeSupervisor:
     def _on_child_event(self, child: _Child, event: dict) -> None:
         if event.get("event") == "ready":
             child.ready = True
-            child.port = event.get("port")
             child.control_port = event.get("control_port")
             self._update_workers_gauge()
         elif event.get("event") == "exit":
             stats = event.get("stats") or {}
-            for field in (
-                "connections", "requests", "pages", "served",
-                "protocol_errors", "rate_limited", "shed",
-                "drained_connections",
-            ):
+            for field in self._child_counts:
                 setattr(self.stats, field,
                         getattr(self.stats, field)
                         + int(stats.get(field, 0)))
@@ -547,7 +530,11 @@ class ServeSupervisor:
             if child.ready and child.alive
         ))
 
+    def _any_alive(self) -> bool:
+        return any(child.alive for child in self._children.values())
+
     async def _watch(self) -> None:
+        """Reap (and, while serving, restart) children until drained."""
         while True:
             await asyncio.sleep(_REAP_POLL_SECONDS)
             for child in list(self._children.values()):
@@ -562,11 +549,7 @@ class ServeSupervisor:
                 if pid == 0:
                     continue
                 self._reap(child)
-            if self._stopping and not any(
-                child.alive for child in self._children.values()
-            ):
-                assert self._stopped is not None
-                self._stopped.set()
+            if self._stopping and not self._any_alive():
                 return
 
     def _reap(self, child: _Child) -> None:
@@ -601,21 +584,28 @@ class ServeSupervisor:
         if not self._stopping:
             self._spawn(slot, failures=failures)
 
+    def _signal_children(self, signum: int) -> None:
+        for child in self._children.values():
+            if child.alive:
+                try:
+                    os.kill(child.pid, signum)
+                except ProcessLookupError:  # pragma: no cover - raced
+                    pass
+
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        """Bind, fork the fleet, and start aggregating (non-blocking)."""
+        """Bind, fork the fleet, and serve the parent's port (non-blocking)."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._bind_sockets()
         for slot in range(self.workers):
             self._spawn(slot)
         self._watcher = asyncio.ensure_future(self._watch())
-        self._server = await asyncio.start_server(
-            self._on_connection, sock=self._listen_sock
-        )
+        self._front = _FleetPort(self)
+        await self._front.start()
         await self._wait_ready()
 
     async def _wait_ready(self, timeout: float = 60.0) -> None:
@@ -655,25 +645,33 @@ class ServeSupervisor:
         self._stopping = True
         for task in self._restart_tasks:
             task.cancel()
-        for child in self._children.values():
-            if child.alive:
-                try:
-                    os.kill(child.pid, signal.SIGTERM)
-                except ProcessLookupError:  # pragma: no cover - raced
-                    pass
-        if not any(child.alive for child in self._children.values()):
-            if self._stopped is not None:
-                self._stopped.set()
+        self._drain_task = asyncio.ensure_future(self._drain())
+
+    async def _drain(self) -> None:
+        """Drain from the outside in, as one process does.
+
+        The parent's port finishes what it admitted first (a gateway
+        batch still needs its workers); only then do the children get
+        SIGTERM and their own drain window, after which a straggler is
+        killed.  A gateway drain can thus take twice ``drain_timeout``.
+        """
+        assert self._front is not None and self._watcher is not None
+        await self._front.shutdown()
+        self._signal_children(signal.SIGTERM)
+        _, pending = await asyncio.wait(
+            [self._watcher], timeout=self.drain_timeout + 5.0
+        )
+        if pending:
+            self._signal_children(signal.SIGKILL)
+            await self._watcher
+        assert self._stopped is not None
+        self._stopped.set()
 
     def _abort(self) -> None:
-        self._aborted = True
-        self._stopping = True
-        for child in self._children.values():
-            if child.alive:
-                try:
-                    os.kill(child.pid, signal.SIGKILL)
-                except ProcessLookupError:  # pragma: no cover - raced
-                    pass
+        self._signal_children(signal.SIGKILL)
+        if self._front is not None:
+            # The drain still runs, but finds nothing left to wait for.
+            self._front.abort_connections()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -683,43 +681,13 @@ class ServeSupervisor:
         await self._stopped.wait()
 
     async def shutdown(self) -> SupervisorStats:
-        """Tear everything down and return the fleet-wide stats."""
+        """Drain the fleet (or finish an abort) and return its stats."""
         if self._shut_down:
             return self.stats
         self._shut_down = True
         self._begin_drain()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Give the children the drain window, then force the issue.
-        assert self._loop is not None
-        deadline = self._loop.time() + self.drain_timeout + 5.0
-        while any(c.alive for c in self._children.values()):
-            if self._loop.time() > deadline:
-                self._abort()
-                deadline = self._loop.time() + 5.0
-            await asyncio.sleep(_REAP_POLL_SECONDS)
-            for child in list(self._children.values()):
-                if child.pid is None:
-                    continue
-                try:
-                    pid, _ = os.waitpid(  # sc: ok (WNOHANG)
-                        child.pid, os.WNOHANG
-                    )
-                except ChildProcessError:
-                    pid = child.pid
-                if pid:
-                    self._reap(child)
-        if self._watcher is not None:
-            self._watcher.cancel()
-            try:
-                await self._watcher
-            except asyncio.CancelledError:
-                pass
-            self._watcher = None
-        for task in list(self._restart_tasks):
-            task.cancel()
+        assert self._drain_task is not None and self._loop is not None
+        await self._drain_task
         for child in self._children.values():
             if child.read_fd is not None:
                 # Pull any final exit report still sitting in the pipe.
@@ -728,138 +696,14 @@ class ServeSupervisor:
                     self._loop.remove_reader(child.read_fd)
                     os.close(child.read_fd)
                     child.read_fd = None
-        for sock in (self._probe_sock, self._shared_sock):
-            if sock is not None:
-                sock.close()
-        self._probe_sock = None
-        self._shared_sock = None
-        if self._stopped is not None:
-            self._stopped.set()
+        if self._probe_sock is not None:
+            self._probe_sock.close()
+            self._probe_sock = None
         return self.stats
 
     # ------------------------------------------------------------------ #
-    # Parent HTTP surface (aggregation + gateway)
+    # The parent port's endpoint bodies (aggregation + gateway)
     # ------------------------------------------------------------------ #
-
-    async def _on_connection(self, reader, writer) -> None:
-        fd = self._track_fd(writer)
-        try:
-            while not self._stopping:
-                request = await _read_request_head(reader)
-                if request is None:
-                    break
-                try:
-                    keep_alive = await self._dispatch(
-                        request, reader, writer
-                    )
-                except HttpProtocolError as exc:
-                    self._write_refusal(writer, exc)
-                    break
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except HttpProtocolError as exc:
-            self._write_refusal(writer, exc)
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass  # client hung up mid-exchange
-        finally:
-            self._client_fds.discard(fd)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    def _track_fd(self, writer) -> int:
-        sock = writer.get_extra_info("socket")
-        try:
-            fd = sock.fileno() if sock is not None else -1
-        except OSError:  # pragma: no cover - already closed
-            fd = -1
-        if fd >= 0:
-            self._client_fds.add(fd)
-        return fd
-
-    @staticmethod
-    def _write_refusal(writer, exc: HttpProtocolError) -> None:
-        body = _error_body(
-            f"{exc.status} {_REASONS[exc.status]}: {exc.detail}"
-        )
-        writer.write(_response_head(exc.status, [
-            ("Content-Type", "application/json; charset=utf-8"),
-            ("Content-Length", str(len(body))),
-            ("Connection", "close"),
-        ]) + body)
-
-    async def _dispatch(self, request, reader, writer) -> bool:
-        route = (request.method, request.target)
-        if route == ("GET", "/healthz"):
-            return await self._handle_healthz(request, reader, writer)
-        if route == ("GET", "/metrics"):
-            return await self._handle_metrics(request, reader, writer)
-        if self.gateway and route == ("POST", "/batch"):
-            return await self._admitted(
-                request, reader, writer, self._handle_batch
-            )
-        if self.gateway and route == ("POST", "/extract"):
-            return await self._admitted(
-                request, reader, writer, self._handle_extract
-            )
-        if request.target in ("/healthz", "/metrics"):
-            raise HttpProtocolError(
-                405, f"{request.target} accepts only GET"
-            )
-        if self.gateway and request.target in ("/extract", "/batch"):
-            raise HttpProtocolError(
-                405, f"{request.target} accepts only POST"
-            )
-        raise HttpProtocolError(404, f"no such endpoint {request.target!r}")
-
-    @staticmethod
-    def _client_of(writer) -> str:
-        peername = writer.get_extra_info("peername")
-        if isinstance(peername, (tuple, list)) and peername:
-            return str(peername[0])
-        return str(peername) if peername else "unknown"
-
-    async def _admitted(self, request, reader, writer, endpoint) -> bool:
-        decision = self._admission.admit(self._client_of(writer))
-        if not decision.admitted:
-            if decision.status == 429:
-                self.stats.rate_limited += 1
-            else:
-                self.stats.shed += 1
-            try:
-                body = _framed_body(request, reader, self.max_body_bytes)
-                await _read_whole_body(body, self.max_body_bytes)
-            except HttpProtocolError:
-                pass  # the refusal outranks the framing violation
-            retry_after = decision.retry_after_seconds
-            payload = _error_body(
-                f"{decision.status} {_REASONS[decision.status]}: "
-                f"{decision.reason}; retry after {retry_after}s"
-            )
-            _write_payload_response(
-                writer, decision.status, payload, False,
-                extra_headers=(("Retry-After", str(retry_after)),),
-            )
-            return False
-        try:
-            return await endpoint(request, reader, writer)
-        finally:
-            self._admission.release()
-
-    async def _consume_stray_body(self, request, reader) -> None:
-        if (
-            "content-length" in request.headers
-            or "transfer-encoding" in request.headers
-        ):
-            body = _framed_body(request, reader, self.max_body_bytes)
-            await _read_whole_body(body, self.max_body_bytes)
 
     # -- aggregation --------------------------------------------------- #
 
@@ -888,8 +732,8 @@ class ServeSupervisor:
                 bodies[child.slot] = body
         return bodies
 
-    async def _handle_healthz(self, request, reader, writer) -> bool:
-        await self._consume_stray_body(request, reader)
+    async def _health(self) -> dict:
+        """The fleet's ``/healthz`` payload."""
         payloads: Dict[int, dict] = {}
         for slot, body in (await self._gather_children("/healthz")).items():
             try:
@@ -923,29 +767,40 @@ class ServeSupervisor:
                 str(slot): payloads[slot] for slot in sorted(payloads)
             },
         }
-        for field in (
-            "connections", "requests", "pages", "served",
-            "protocol_errors", "rate_limited", "shed",
-            "drained_connections",
-        ):
-            payload[field] = getattr(self.stats, field) + sum(
-                int(p.get(field, 0)) for p in payloads.values()
-            )
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        keep_alive = request.keep_alive and not self._stopping
-        _write_payload_response(writer, 200, body, keep_alive)
-        return keep_alive
+        for field in _SESSION_COUNTS:
+            payload[field] = getattr(self.stats, field)
+            if field in self._child_counts:
+                payload[field] += sum(
+                    int(p.get(field, 0)) for p in payloads.values()
+                )
+        return payload
 
-    async def _handle_metrics(self, request, reader, writer) -> bool:
-        await self._consume_stray_body(request, reader)
-        texts = [self.metrics.render()]
+    async def _exposition(self) -> str:
+        """The fleet's ``/metrics``: every registry, merged point-wise.
+
+        The ``repro_http_*`` series come from whoever owns the public
+        port — the parent's own in gateway mode, where the children's
+        describe the loopback slices, forwards and gathers; the
+        children's on a shared port, where the parent's describe the
+        status port.
+        """
+
+        def public(text: str, owns_port: bool) -> str:
+            if owns_port:
+                return text
+            return "".join(
+                line for line in text.splitlines(keepends=True)
+                if not _HTTP_SERIES_LINE.match(line)
+            )
+
+        texts = [public(self.metrics.render(), self.gateway)]
         for text in (await self._gather_children("/metrics")).values():
             decoded = text.decode("utf-8", errors="replace")
             try:
                 parse_exposition(decoded)
             except ValueError:  # pragma: no cover - corrupt child
                 continue
-            texts.append(decoded)
+            texts.append(public(decoded, not self.gateway))
         requests_lines = ["# TYPE repro_worker_requests_total counter"]
         for slot, body in (await self._gather_children("/healthz")).items():
             try:
@@ -958,13 +813,7 @@ class ServeSupervisor:
             )
         if len(requests_lines) > 1:
             texts.append("\n".join(requests_lines) + "\n")
-        body = merge_expositions(texts).encode("utf-8")
-        keep_alive = request.keep_alive and not self._stopping
-        _write_payload_response(
-            writer, 200, body, keep_alive,
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-        return keep_alive
+        return merge_expositions(texts)
 
     # -- gateway ------------------------------------------------------- #
 
@@ -977,7 +826,11 @@ class ServeSupervisor:
                 child = ready[self._rr % len(ready)]
                 self._rr += 1
                 return child
-            if self._stopping or self._loop.time() > deadline:
+            # A drain keeps the children until the parent's port has
+            # finished, and restarts none: give up once all are gone.
+            if self._loop.time() > deadline or (
+                self._stopping and not self._any_alive()
+            ):
                 return None
             await asyncio.sleep(0.05)
 
@@ -986,7 +839,8 @@ class ServeSupervisor:
             asyncio.open_connection("127.0.0.1", child.control_port),
             timeout=10.0,
         )
-        fd = self._track_fd(writer)
+        fd = writer.get_extra_info("socket").fileno()
+        self._client_fds.add(fd)
         try:
             writer.write(raw)
             await writer.drain()
@@ -1043,33 +897,14 @@ class ServeSupervisor:
             f"{checkpoint.attempts} attempts"
         )
 
-    async def _handle_batch(self, request, reader, writer) -> bool:
-        body_framer = _framed_body(request, reader, self.max_body_bytes)
-        if request.headers.get("expect", "").lower() == "100-continue":
-            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        raw = await _read_whole_body(body_framer, self.max_body_bytes)
+    async def _fan_out(self, raw: bytes, write, writer) -> bool:
+        """Stream one ``/batch`` body's records through the fleet.
+
+        Slices run concurrently but are written in input order; a
+        batch that cannot complete ends with one gateway error record.
+        Returns whether every slice came back.
+        """
         slices = slice_body(raw, self.slice_lines)
-        chunked = request.version == "HTTP/1.1"
-        if chunked:
-            writer.write(_response_head(200, [
-                ("Content-Type", "application/x-ndjson; charset=utf-8"),
-                ("Transfer-Encoding", "chunked"),
-                ("Connection",
-                 "keep-alive" if request.keep_alive else "close"),
-            ]))
-        else:
-            writer.write(_response_head(200, [
-                ("Content-Type", "application/x-ndjson; charset=utf-8"),
-                ("Connection", "close"),
-            ]))
-
-        def _write_line(data: bytes) -> None:
-            data += b"\n"
-            if chunked:
-                writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
-            else:
-                writer.write(data)
-
         semaphore = asyncio.Semaphore(max(2, 2 * self.workers))
 
         async def _bounded(checkpoint: SliceCheckpoint) -> None:
@@ -1080,41 +915,28 @@ class ServeSupervisor:
             asyncio.ensure_future(_bounded(checkpoint))
             for checkpoint in slices
         ]
-        clean = True
         try:
             # Ordered emission: slice k's records go out only after
             # every earlier slice's did — the deterministic merge.
             for task, checkpoint in zip(tasks, slices):
                 try:
                     await task
-                except (GatewayError, asyncio.CancelledError) as exc:
-                    clean = False
-                    _write_line(json.dumps(
+                except GatewayError as exc:
+                    write(json.dumps(
                         make_error_record(f"gateway: {exc}"),
                         sort_keys=True,
                     ).encode("utf-8"))
-                    break
+                    return False
                 for record in checkpoint.records:
-                    _write_line(record)
+                    write(record)
                 await writer.drain()
         finally:
             for task in tasks:
                 task.cancel()
-        if chunked:
-            writer.write(b"0\r\n\r\n")
-        await writer.drain()
-        return (
-            clean
-            and chunked
-            and request.keep_alive
-            and not self._stopping
-        )
+        return True
 
-    async def _handle_extract(self, request, reader, writer) -> bool:
-        body_framer = _framed_body(request, reader, self.max_body_bytes)
-        if request.headers.get("expect", "").lower() == "100-continue":
-            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        raw = await _read_whole_body(body_framer, self.max_body_bytes)
+    async def _forward_extract(self, raw: bytes) -> tuple[int, bytes]:
+        """One ``/extract`` body through one child: its status and body."""
         head = (
             "POST /extract HTTP/1.1\r\nHost: gateway\r\n"
             f"Content-Length: {len(raw)}\r\n"
@@ -1132,10 +954,89 @@ class ServeSupervisor:
                     asyncio.TimeoutError):
                 await asyncio.sleep(0.05)
                 continue
-            keep_alive = request.keep_alive and not self._stopping
-            _write_payload_response(writer, status, body, keep_alive)
-            return keep_alive
+            return status, body
         raise HttpProtocolError(503, "no live worker for /extract")
+
+
+class _FleetPort(HttpFrontEnd):
+    """The supervisor's own port, on the serving tier's one HTTP server.
+
+    Its handler is the supervisor; only the endpoint bodies differ from
+    a child's.  ``/healthz`` and ``/metrics`` aggregate the fleet; in
+    gateway mode ``/extract`` goes to one child and ``/batch`` is fanned
+    across all, while a status port answers both with 404.  The
+    extraction pool stays unused: restarts fork from this process, which
+    must never start a thread.
+    """
+
+    def __init__(self, supervisor: ServeSupervisor) -> None:
+        super().__init__(
+            supervisor,
+            max_body_bytes=supervisor.max_body_bytes,
+            drain_timeout=supervisor.drain_timeout,
+            sock=supervisor._listen_sock,
+        )
+        self.supervisor = supervisor
+        if supervisor.gateway:
+            # The public port: its clients are the fleet's clients.
+            self.stats = supervisor.stats
+
+    def client_fds(self) -> list[int]:
+        """fds of the open client connections (a fork closes its copies)."""
+        fds = []
+        for connection in self._connections.values():
+            sock = connection.writer.get_extra_info("socket")
+            if sock is not None and sock.fileno() >= 0:
+                fds.append(sock.fileno())
+        return fds
+
+    def abort_connections(self) -> None:
+        """Cut every open connection now (the second SIGINT)."""
+        for connection in self._connections.values():
+            connection.writer.transport.abort()
+
+    async def _dispatch(self, request, reader, writer) -> bool:
+        if not self.supervisor.gateway and request.target in (
+            "/extract", "/batch"
+        ):
+            raise HttpProtocolError(
+                404, f"no such endpoint {request.target!r}"
+            )
+        return await super()._dispatch(request, reader, writer)
+
+    async def _health(self) -> dict:
+        return await self.supervisor._health()
+
+    async def _exposition(self) -> str:
+        return await self.supervisor._exposition()
+
+    async def _whole_body(self, request, reader, writer) -> bytes:
+        body = _framed_body(request, reader, self.max_body_bytes)
+        self._answer_expect(request, writer)
+        return await _read_whole_body(body, self.max_body_bytes)
+
+    async def _extract_admitted(self, request, reader, writer) -> bool:
+        raw = await self._whole_body(request, reader, writer)
+        status, body = await self.supervisor._forward_extract(raw)
+        keep_alive = request.keep_alive and not self._closing
+        _write_payload_response(writer, status, body, keep_alive)
+        self._count_request("/extract", status)
+        return keep_alive
+
+    async def _batch_admitted(self, request, reader, writer) -> bool:
+        raw = await self._whole_body(request, reader, writer)
+        write, chunked = _open_record_stream(request, writer)
+        clean = await self.supervisor._fan_out(raw, write, writer)
+        if chunked:
+            writer.write(b"0\r\n\r\n")
+        self._count_request("/batch", 200)
+        await writer.drain()
+        return (
+            clean
+            and chunked
+            and request.keep_alive
+            and not self._closing
+        )
 
 
 async def _read_client_response(reader) -> tuple:

@@ -17,6 +17,29 @@ from repro.html import parse_html
 from repro.sites.imdb import ImdbOptions, generate_imdb_site, make_paper_sample
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_child_processes():
+    """Fail the session if any test left a child process behind.
+
+    The in-process supervisor tests fork serve fleets from this very
+    process, so a leaked child carries pytest's command line and
+    escapes CI's ``pgrep repro.cli`` step.  Linux lists each thread's
+    children under ``/proc/self/task/*/children``; where that file is
+    missing the check is skipped.
+    """
+    yield
+    listings = list(Path("/proc/self/task").glob("*/children"))
+    if not listings:
+        return
+    leaked = set()
+    for listing in listings:
+        try:
+            leaked.update(listing.read_text().split())
+        except OSError:
+            continue  # that thread ended after the glob
+    assert not leaked, f"child process(es) left running: {sorted(leaked)}"
+
+
 @pytest.fixture(scope="session")
 def paper_sample():
     """The four pages of the paper's working sample (Tables 1/3)."""

@@ -454,6 +454,55 @@ class TestProtocol:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("field, body, expected", [
+        # RFC 9112 §5.1: no whitespace between a field name and colon.
+        (b"Content-Length : 5", b"hello", 400),
+        # §5.2: a line starting with SP or HTAB is obsolete folding.
+        (b" Content-Length: 5", b"hello", 400),
+        (b"\tContent-Length: 5", b"hello", 400),
+        # Only SP and HTAB pad a value; other bytes belong to it.
+        (b"Content-Length: \x1f5", b"hello", 400),
+        (b"Content-Length: 5\xa0", b"hello", 400),
+        (b"Transfer-Encoding: chunked\x85", b"5\r\nhello\r\n0\r\n\r\n",
+         501),
+    ], ids=["space-before-colon", "folded-sp", "folded-tab",
+            "control-byte", "nbsp", "nel"])
+    def test_field_lines_outside_rfc_9112_are_refused(
+        self, handler, field, body, expected
+    ):
+        status, _, _ = self._refused(
+            handler,
+            b"POST /extract HTTP/1.1\r\nHost: t\r\n" + field
+            + b"\r\n\r\n" + body,
+        )
+        assert status == expected
+
+    @pytest.mark.parametrize("field", [
+        b"Content-Length:7", b"Content-Length: \t7 \t",
+    ])
+    def test_optional_whitespace_still_frames_the_body(self, handler, field):
+        async def scenario(front):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", front.port
+            )
+            # Exactly 7 body bytes, then the next request: a framing
+            # off by one byte would garble the second request line.
+            writer.write(
+                b"POST /extract HTTP/1.1\r\nHost: t\r\n" + field
+                + b'\r\n\r\n{"a":1}GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n'
+            )
+            await writer.drain()
+            first = await _read_response(reader)
+            second = await _read_response(reader)
+            writer.close()
+            return first, second
+        (first, second), front = _with_front_end(handler, scenario)
+        assert first[0] == 200
+        assert "error" in json.loads(first[2])  # no url/html: a record
+        assert second[0] == 200
+        assert json.loads(second[2])["status"] == "ok"
+        assert front.stats.protocol_errors == 0
+
     def test_healthz_with_a_body_keeps_the_connection_in_sync(
         self, handler
     ):

@@ -441,8 +441,7 @@ class TestReuseportFleet:
             assert supervisor.terminate() == 0
         finally:
             supervisor.kill()
-        assert re.search(r"2 worker\(s\) \((reuseport|inherit)\)",
-                         supervisor.stderr)
+        assert "2 worker(s) (reuseport)" in supervisor.stderr
         assert "workers: 2 worker(s), 0 restart(s)" in supervisor.stderr
 
 
@@ -682,6 +681,140 @@ class TestSupervisorInProcess:
 
         asyncio.run(run())
 
+    def test_gateway_refusals_read_whole(self, service_repository):
+        async def refused(port, raw):
+            # The whole request goes out before the answer is read, as
+            # a client streaming a large body does; the server must
+            # read what it will not use, or its close resets the
+            # connection under the response.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            writer.write(raw)
+            await writer.drain()
+            writer.write_eof()
+            data = await asyncio.wait_for(reader.read(-1), 30)
+            writer.close()
+            return _parse_http(data)
+
+        async def run():
+            handler = ServeHandler(
+                service_repository, cluster="imdb-movies"
+            )
+            sup = ServeSupervisor(handler, workers=1, gateway=True)
+            await sup.start()
+            try:
+                big = b"x" * 400_000
+                status, headers, body = await refused(sup.port, (
+                    b"POST /nope HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(big)
+                ) + big)
+                assert status == 404
+                assert "/nope" in json.loads(body)["error"]
+                status, headers, body = await refused(sup.port, (
+                    b"GET /batch HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: 5\r\n\r\nhello"
+                ))
+                assert status == 405
+                assert headers["allow"] == "POST"
+                assert "error" in json.loads(body)
+                assert sup.stats.protocol_errors == 2
+            finally:
+                await sup.shutdown()
+
+        asyncio.run(run())
+
+    def test_stop_mid_batch_returns_every_record(
+        self, service_site, service_repository
+    ):
+        body = self._ndjson(service_site, 12) * 6  # 72 lines
+        expected = _single_process_batch(
+            service_repository, "imdb-movies", body
+        )
+
+        async def run():
+            handler = ServeHandler(
+                service_repository, cluster="imdb-movies"
+            )
+            sup = ServeSupervisor(
+                handler, workers=2, gateway=True, slice_lines=2
+            )
+            await sup.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", sup.port
+                )
+                writer.write(_batch_request(body))
+                await writer.drain()
+                first = await reader.read(2048)
+                assert first.startswith(b"HTTP/1.1 200")
+                sup.stop()  # SIGTERM while the merge is streaming
+                rest = await asyncio.wait_for(reader.read(-1), 60)
+                writer.close()
+                await asyncio.wait_for(sup.wait_stopped(), 60)
+                assert not any(c.alive for c in sup._children.values())
+            finally:
+                await sup.shutdown()
+            return first + rest
+
+        data = asyncio.run(run())
+        assert data.endswith(b"0\r\n\r\n")
+        status, _, payload = _parse_http(data)
+        assert status == 200
+        assert payload == expected  # every record, none cut off
+
+    def test_gateway_counts_the_public_port(
+        self, service_site, service_repository
+    ):
+        body = self._ndjson(service_site, 10)
+
+        async def run():
+            handler = ServeHandler(
+                service_repository, cluster="imdb-movies"
+            )
+            sup = ServeSupervisor(
+                handler, workers=2, gateway=True, slice_lines=3
+            )
+            await sup.start()
+            try:
+                status, _, _ = await self._fetch(
+                    sup.port, _batch_request(body)
+                )
+                assert status == 200
+                status, _, _ = await self._fetch(
+                    sup.port, self._get("/nope")
+                )
+                assert status == 404
+                status, _, health_body = await self._fetch(
+                    sup.port, self._get("/healthz")
+                )
+                health = json.loads(health_body)
+                # The client's three requests, not the four slices and
+                # the two gathers the parent sent its workers.
+                assert (health["requests"], health["connections"]) == (3, 3)
+                assert health["protocol_errors"] == 1
+                assert health["pages"] == health["served"] == 10
+                assert (sup.stats.requests, sup.stats.connections) == (3, 3)
+                status, _, metrics_body = await self._fetch(
+                    sup.port, self._get("/metrics")
+                )
+                text = metrics_body.decode("utf-8")
+                assert (
+                    'repro_http_requests_total{endpoint="/batch",'
+                    'status="200"} 1\n' in text
+                )
+                assert (
+                    'repro_http_requests_total{endpoint="other",'
+                    'status="404"} 1\n' in text
+                )
+            finally:
+                stats = await sup.shutdown()
+            return stats
+
+        stats = asyncio.run(run())
+        assert (stats.requests, stats.connections) == (4, 4)
+        assert stats.served == 10
+
     def test_reuseport_fleet_in_process(
         self, service_site, service_repository
     ):
@@ -694,7 +827,7 @@ class TestSupervisorInProcess:
             sup = ServeSupervisor(handler, workers=2)
             await sup.start()
             try:
-                assert sup.mode in ("reuseport", "inherit")
+                assert sup.mode == "reuseport"
                 assert sup.status_port != sup.port
                 raw = (
                     b"POST /extract HTTP/1.1\r\nHost: t\r\n"
@@ -711,6 +844,10 @@ class TestSupervisorInProcess:
                 health = json.loads(health_body)
                 assert health["workers_active"] == 2
                 assert health["mode"] == sup.mode
+                # The status port's own traffic stays out of the counts.
+                assert health["requests"] == sum(
+                    w["requests"] for w in health["workers_detail"].values()
+                )
                 status, _, metrics_body = await self._fetch(
                     sup.status_port, self._get("/metrics")
                 )
@@ -725,35 +862,6 @@ class TestSupervisorInProcess:
                 )
                 assert status == 404  # the status port is not a gateway
                 sup.interrupt()  # first SIGINT: graceful drain
-                await asyncio.wait_for(sup.wait_stopped(), 30)
-            finally:
-                await sup.shutdown()
-
-        asyncio.run(run())
-
-    def test_inherit_fallback_when_reuseport_missing(
-        self, service_repository, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "repro.service.supervisor.reuseport_available", lambda: False
-        )
-
-        async def run():
-            handler = ServeHandler(
-                service_repository, cluster="imdb-movies"
-            )
-            sup = ServeSupervisor(handler, workers=1)
-            await sup.start()
-            try:
-                assert sup.mode == "inherit"
-                status, _, health_body = await self._fetch(
-                    sup.status_port, self._get("/healthz")
-                )
-                assert status == 200
-                health = json.loads(health_body)
-                assert health["mode"] == "inherit"
-                assert health["workers_active"] == 1
-                sup.stop()
                 await asyncio.wait_for(sup.wait_stopped(), 30)
             finally:
                 await sup.shutdown()
