@@ -8,7 +8,12 @@ close``) against two real ``serve`` subprocesses:
   fanning line slices across two forked children and merging the
   streams back in input order.
 
-Both runs must produce byte-identical response bodies — the gateway's
+Both servers stay up for the whole measurement, and the two requests
+alternate over :data:`ROUNDS` rounds, each side going first equally
+often; each side is scored by its best pass, so the ratio does not
+rest on one unpaired pass of a host whose speed drifts.
+
+Both must produce byte-identical response bodies — the gateway's
 whole contract — and the fleet must actually buy throughput: the
 extraction work is pure-Python CPU, so two child *processes* (two
 GILs) should approach 2x a single process once slice fan-out overhead
@@ -51,6 +56,10 @@ CORPUS_REPEATS = 12
 #: Lines per gateway slice — large enough that slice fan-out (one
 #: loopback POST per slice) stays a small fraction of the slice work.
 SLICE_LINES = 96
+
+#: Timed rounds; each times one ``/batch`` per side, and the side that
+#: goes first alternates (an even count: each side leads equally often).
+ROUNDS = 4
 
 #: Regression floor: gateway@2 workers vs the single process.
 MIN_MULTIWORKER_SPEEDUP = 1.8
@@ -155,32 +164,50 @@ def _batch_seconds(port: int, body: bytes) -> tuple[float, bytes]:
     return elapsed, payload
 
 
-def _measure(repo_path: Path, body: bytes, *extra: str) -> tuple:
-    serve = _Serve(repo_path, *extra)
-    try:
-        _measure_warm = _batch_seconds(serve.port, body)  # warm the fleet
-        first, payload = _batch_seconds(serve.port, body)
-        second, again = _batch_seconds(serve.port, body)
-        assert again == payload
-        assert payload == _measure_warm[1]
-        return min(first, second), payload
-    finally:
-        serve.close()
+def _paired(single: _Serve, gateway: _Serve, body: bytes) -> tuple:
+    """Best seconds per side over :data:`ROUNDS` alternating rounds.
+
+    Both servers stay up; each round times one ``/batch`` on each, the
+    side that goes first alternating, so a drift in host speed lands
+    on both sides instead of on whichever ran second.  Returns
+    ``(single_seconds, gateway_seconds, single_payload,
+    gateway_payload)``; every pass of a side must repeat its bytes.
+    """
+    payloads = {}
+    best = {}
+    for serve in (single, gateway):  # warm both (imports, fleet fork)
+        _, payloads[serve] = _batch_seconds(serve.port, body)
+    for round_index in range(ROUNDS):
+        order = (single, gateway) if round_index % 2 == 0 else (
+            gateway, single
+        )
+        for serve in order:
+            seconds, payload = _batch_seconds(serve.port, body)
+            assert payload == payloads[serve]
+            best[serve] = min(best.get(serve, seconds), seconds)
+    return best[single], best[gateway], payloads[single], payloads[gateway]
 
 
 def test_multiworker_serve_throughput(tmp_path, benchmark):
     repo_path, body = _corpus(tmp_path)
     lines = body.count(b"\n")
 
-    single_seconds, single_payload = _measure(repo_path, body)
-    gateway_seconds, gateway_payload = benchmark.pedantic(
-        lambda: _measure(
-            repo_path, body,
-            "--workers", "2", "--gateway",
+    single = _Serve(repo_path)
+    try:
+        gateway = _Serve(
+            repo_path, "--workers", "2", "--gateway",
             "--gateway-slice", str(SLICE_LINES),
-        ),
-        rounds=1, iterations=1,
-    )
+        )
+        try:
+            (single_seconds, gateway_seconds,
+             single_payload, gateway_payload) = benchmark.pedantic(
+                lambda: _paired(single, gateway, body),
+                rounds=1, iterations=1,
+            )
+        finally:
+            gateway.close()
+    finally:
+        single.close()
 
     # The supervisor's contract before its throughput: the fanned-out
     # merge is byte-identical to the single-process stream.

@@ -99,8 +99,10 @@ LINT_SPECS: Tuple[LintSpec, ...] = (
     LintSpec(
         "RW301", "info",
         "automaton-ineligible location",
-        "rewrite as a relative child-axis path with at most one "
-        "positional predicate per step to ride the single-pass scan",
+        "rewrite as a relative path of child steps and bare // steps, "
+        "each child step with at most one predicate: positional, or the "
+        "preceding-label anchor (following:: and contains() anchors "
+        "cannot ride the single-pass scan)",
     ),
     LintSpec(
         "RW302", "info",

@@ -1422,8 +1422,8 @@ def cmd_registry_show(args: argparse.Namespace) -> int:
         payload = manifest.to_dict()
         if args.stats:
             # Compile the version exactly as a deploy would and attach
-            # each cluster's compiler stats (trie sharing + automaton
-            # shape) to the printed manifest.
+            # each cluster's compiler stats (automaton shape) to the
+            # printed manifest.
             payload["compiler_stats"] = {
                 cluster: wrapper.stats.as_dict()
                 for cluster, wrapper in sorted(
@@ -1836,7 +1836,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_show.add_argument("--stats", action="store_true",
                         help="compile the version's wrappers and "
                              "include per-cluster compiler stats "
-                             "(trie sharing and automaton shape)")
+                             "(automaton shape)")
     r_show.set_defaults(func=cmd_registry_show)
 
     r_diff = registry_sub.add_parser(

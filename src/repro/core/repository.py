@@ -112,9 +112,8 @@ class RuleRepository:
         """Compile one cluster's rules into a :class:`CompiledWrapper`.
 
         The compiled wrapper is the deployable serving artifact: XPath
-        ASTs are pre-parsed, eligible locations fuse into a single-pass
-        DOM automaton, and the remaining relative primaries share one
-        prefix-trie walk.  See :mod:`repro.service.compiler`.
+        ASTs are pre-parsed and eligible locations fuse into a
+        single-pass DOM automaton.  See :mod:`repro.service.compiler`.
         """
         from repro.service.compiler import compile_wrapper
 

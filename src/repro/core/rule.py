@@ -149,7 +149,7 @@ class MappingRule:
         """Build a :class:`MatchResult` from nodes selected elsewhere.
 
         The compiled-wrapper path (:mod:`repro.service.compiler`)
-        evaluates locations through a shared prefix trie and hands the
+        evaluates locations in one automaton scan and hands the
         selected nodes back here, so value grouping stays identical to
         :meth:`apply`.
         """

@@ -34,6 +34,23 @@ class NodeType(Enum):
 _node_counter = itertools.count(1)
 
 
+class _OrderEpoch:
+    """One preorder stamping of a tree, shared by every node it numbers.
+
+    :meth:`Node.document_order` stamps a whole tree at once.  A
+    structural mutation inside the tree clears ``valid``, and the
+    stamps also lapse once ``root`` gains a parent (the tree was
+    attached under another), so no stamp is trusted after the tree it
+    numbers has changed.
+    """
+
+    __slots__ = ("valid", "root")
+
+    def __init__(self, root: "Node") -> None:
+        self.valid = True
+        self.root = root
+
+
 class Node:
     """Base class of all DOM nodes.
 
@@ -46,12 +63,19 @@ class Node:
 
     node_type: NodeType = NodeType.ELEMENT
 
+    # Slots, not an instance dict: a page is tens of thousands of small
+    # objects, built once and then only read.
+    __slots__ = ("parent", "children", "_uid", "_order", "_order_epoch")
+
     def __init__(self) -> None:
         self.parent: Optional[Node] = None
         self.children: list[Node] = []
         # Monotonically increasing creation id; used only as a stable
         # tie-breaker for hashing and debugging, never for document order.
         self._uid = next(_node_counter)
+        # The stamping that numbered this node's ``_order`` (its preorder
+        # index; see document_order).  A node starts unstamped.
+        self._order_epoch: Optional[_OrderEpoch] = None
 
     # ------------------------------------------------------------------ #
     # Structure mutation
@@ -61,6 +85,8 @@ class Node:
         """Attach ``child`` as the last child of this node and return it."""
         if child.parent is not None:
             child.parent.remove_child(child)
+        if self._order_epoch is not None:
+            self._order_epoch.valid = False
         child.parent = self
         self.children.append(child)
         return child
@@ -79,6 +105,8 @@ class Node:
             raise ValueError("reference node is not a child of this node") from None
         if new_child.parent is not None:
             new_child.parent.remove_child(new_child)
+        if self._order_epoch is not None:
+            self._order_epoch.valid = False
         new_child.parent = self
         self.children.insert(index, new_child)
         return new_child
@@ -89,6 +117,8 @@ class Node:
             self.children.remove(child)
         except ValueError:
             raise ValueError("node is not a child of this node") from None
+        if self._order_epoch is not None:
+            self._order_epoch.valid = False
         child.parent = None
         return child
 
@@ -170,15 +200,16 @@ class Node:
         constant label text node along exactly this axis (plus preceding
         siblings of ancestors), "trees being traversed according to a
         Depth First Search".
+
+        Lazy, nearest node first, and without recursion: a node nested
+        thousands of levels deep walks this axis like any other.
         """
         node: Node = self
         while node.parent is not None:
-            parent = node.parent
-            index = node.index_in_parent
-            for sibling in reversed(parent.children[:index]):
-                # Yield sibling subtree in reverse document order.
-                yield from _reverse_document_order(sibling)
-            node = parent
+            siblings = node.parent.children
+            for index in range(node.index_in_parent - 1, -1, -1):
+                yield from _reverse_document_order(siblings[index])
+            node = node.parent
 
     def following(self) -> Iterator["Node"]:
         """Yield nodes strictly after this subtree in document order.
@@ -197,31 +228,24 @@ class Node:
     # Document order
     # ------------------------------------------------------------------ #
 
-    def path_indices(self) -> tuple[int, ...]:
-        """Tuple of 0-based child indices from the root down to this node.
+    def document_order(self) -> int:
+        """This node's preorder index in its tree (the root is 0).
 
-        Two nodes of the same tree compare in document order exactly as
-        their index tuples compare lexicographically (an ancestor's tuple
-        is a proper prefix of its descendants' and therefore sorts first,
-        which is the XPath convention).
+        The first call stamps the whole tree in one walk; later calls
+        are O(1) until a mutation (:meth:`append_child`,
+        :meth:`insert_before`, :meth:`remove_child`) anywhere in the
+        tree invalidates the stamps, and the next call retakes them.
         """
-        indices: list[int] = []
-        node: Node = self
-        while node.parent is not None:
-            indices.append(node.index_in_parent)
-            node = node.parent
-        return tuple(reversed(indices))
+        epoch = self._order_epoch
+        if epoch is None or not epoch.valid or epoch.root.parent is not None:
+            _stamp_document_order(self.root)
+        return self._order
 
     def compare_document_order(self, other: "Node") -> int:
-        """Return -1, 0 or 1 as this node is before, equal to, or after ``other``."""
-        if self is other:
-            return 0
-        mine, theirs = self.path_indices(), other.path_indices()
-        if mine < theirs:
-            return -1
-        if mine > theirs:
-            return 1
-        return 0
+        """Return -1, 0 or 1 as this node is before, equal to, or after
+        ``other`` in their (shared) tree."""
+        mine, theirs = self.document_order(), other.document_order()
+        return (mine > theirs) - (mine < theirs)
 
     def contains(self, other: "Node") -> bool:
         """True when ``other`` is this node or one of its descendants."""
@@ -256,10 +280,33 @@ class Node:
 
 
 def _reverse_document_order(node: Node) -> Iterator[Node]:
-    """Yield ``node``'s subtree in reverse document order (node last)."""
-    for child in reversed(node.children):
-        yield from _reverse_document_order(child)
-    yield node
+    """Yield ``node``'s subtree in reverse document order (node last).
+
+    An explicit stack, so subtree depth is bounded by memory, not by
+    the interpreter's recursion limit.
+    """
+    stack = [(node, False)]
+    while stack:
+        current, expanded = stack.pop()
+        if expanded or not current.children:
+            yield current
+        else:
+            stack.append((current, True))
+            stack.extend((child, False) for child in current.children)
+
+
+def _stamp_document_order(root: Node) -> None:
+    """Number ``root``'s tree in preorder under one fresh epoch."""
+    epoch = _OrderEpoch(root)
+    order = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node._order = order
+        node._order_epoch = epoch
+        order += 1
+        if node.children:
+            stack.extend(reversed(node.children))
 
 
 class Document(Node):
@@ -270,6 +317,8 @@ class Document(Node):
     """
 
     node_type = NodeType.DOCUMENT
+
+    __slots__ = ("url",)
 
     def __init__(self, url: str = "") -> None:
         super().__init__()
@@ -304,6 +353,8 @@ class Element(Node):
     """
 
     node_type = NodeType.ELEMENT
+
+    __slots__ = ("tag", "attributes")
 
     def __init__(self, tag: str, attributes: Optional[dict[str, str]] = None) -> None:
         super().__init__()
@@ -383,6 +434,8 @@ class Element(Node):
 class CharacterData(Node):
     """Common base of nodes that carry character data (text, comments)."""
 
+    __slots__ = ("data",)
+
     def __init__(self, data: str) -> None:
         super().__init__()
         self.data = data
@@ -400,6 +453,8 @@ class Text(CharacterData):
     """
 
     node_type = NodeType.TEXT
+
+    __slots__ = ()
 
     def position_among_text_siblings(self) -> int:
         """1-based position among this node's text siblings.
@@ -431,6 +486,8 @@ class Comment(CharacterData):
 
     node_type = NodeType.COMMENT
 
+    __slots__ = ()
+
     def text_content(self) -> str:
         return ""
 
@@ -447,4 +504,4 @@ def sort_document_order(nodes: Iterable[Node]) -> list[Node]:
     unique: dict[int, Node] = {}
     for node in nodes:
         unique[id(node)] = node
-    return sorted(unique.values(), key=lambda node: node.path_indices())
+    return sorted(unique.values(), key=Node.document_order)

@@ -90,6 +90,13 @@ _CHUNK_SIZE_LINE = re.compile(r"([0-9A-Fa-f]+)(?:[ \t]*;[^\r\n]*)?\r?\n?")
 #: also eat control bytes, ``\x85`` and ``\xa0``.
 _FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
+#: RFC 9112 §3: the request line's three parts are separated by SP; a
+#: lenient parser may also split on HTAB, VT, FF and bare CR, but on no
+#: other byte (not NEL, NBSP or the \x1c-\x1f separators Python's
+#: ``str.split()`` would also take).
+_REQUEST_LINE_SPACE = " \t\x0b\x0c\r"
+_REQUEST_LINE_SEPARATOR = re.compile(f"[{_REQUEST_LINE_SPACE}]+")
+
 #: Seconds a graceful shutdown waits for in-flight requests before
 #: force-closing their connections.
 DEFAULT_DRAIN_TIMEOUT = 30.0
@@ -198,7 +205,11 @@ async def _read_request_head(reader) -> Optional[_Request]:
         raise HttpProtocolError(400, "too many stray blank lines")
     if not request_line:
         return None
-    parts = request_line.decode("latin-1").strip().split()
+    parts = _REQUEST_LINE_SEPARATOR.split(
+        request_line.decode("latin-1")
+        .removesuffix("\n")
+        .strip(_REQUEST_LINE_SPACE)
+    )
     if len(parts) != 3:
         raise HttpProtocolError(400, "malformed request line")
     method, target, version = parts

@@ -977,7 +977,7 @@ class ProgressEmitter:
         :class:`~repro.service.compiler.CompilerStats` (anything with
         an ``as_dict()``); entry points call this once after wrapper
         compilation so operators watching ``--progress`` see the
-        automaton/trie sharing the run starts with.
+        automaton sharing the run starts with.
         """
         payload = {
             "event": "compile",

@@ -26,6 +26,7 @@ case-insensitive, and the DOM stores them upper-case so the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Iterable
 
 from repro.dom.node import Comment, Element, Text
@@ -51,11 +52,6 @@ from repro.xpath.functions import (
     to_string,
 )
 
-_REVERSE_AXES = frozenset(
-    {"ancestor", "ancestor-or-self", "preceding", "preceding-sibling", "parent"}
-)
-
-
 @dataclass(frozen=True)
 class AttributeNode:
     """A lightweight stand-in for DOM attribute nodes.
@@ -68,14 +64,20 @@ class AttributeNode:
     name: str
     value: str
 
-    def path_indices(self) -> tuple:
-        # Attributes sort immediately after their owner element,
-        # ordered by insertion position of the attribute name.
+    def document_order(self) -> float:
+        """A sort key strictly between the owner and its first child.
+
+        Attributes sort immediately after their owner element, ordered
+        by insertion position of the attribute name.
+        """
+        attributes = list(self.owner.attributes)
         try:
-            rank = list(self.owner.attributes).index(self.name)
+            rank = attributes.index(self.name)
         except ValueError:
             rank = 0
-        return (*self.owner.path_indices(), -1, rank)
+        return self.owner.document_order() + (rank + 1) / (
+            len(attributes) + 1
+        )
 
     def text_content(self) -> str:
         return self.value
@@ -94,15 +96,72 @@ class XPathContext:
         return XPathContext(node, position, size, self.variables)
 
 
-def _document_order_key(node) -> tuple:
-    return node.path_indices()
+_document_order_key = methodcaller("document_order")
 
 
 def _sort_node_set(nodes: Iterable) -> list:
     unique: dict[int, object] = {}
     for node in nodes:
         unique[id(node)] = node
+    if len(unique) < 2:
+        return list(unique.values())
     return sorted(unique.values(), key=_document_order_key)
+
+
+#: Function calls whose result is boolean: a predicate built from them
+#: (or from a comparison or ``and``/``or``) is never read as a position.
+_BOOLEAN_FUNCTIONS = frozenset(
+    {"not", "true", "false", "boolean", "contains", "starts-with", "lang"}
+)
+_BOOLEAN_OPS = frozenset({"or", "and", "=", "!=", "<", "<=", ">", ">="})
+
+def _uses_position(expr) -> bool:
+    """True when ``position()`` or ``last()`` appears anywhere in ``expr``."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FunctionCall):
+            if node.name in ("position", "last"):
+                return True
+            stack.extend(node.args)
+        elif isinstance(node, BinaryOp):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, UnaryMinus):
+            stack.append(node.operand)
+        elif isinstance(node, (LocationPath, FilterPath)):
+            if isinstance(node, FilterPath):
+                stack.append(node.primary)
+                stack.extend(node.predicates)
+            for step in node.steps:
+                stack.extend(step.predicates)
+    return False
+
+
+def _lazy_index(predicates: tuple) -> int:
+    """``k`` when a step may stop at its ``k``-th survivor, else 0.
+
+    That holds when the last predicate is the number literal ``k`` and
+    every earlier one is a boolean test that ignores position: each
+    candidate then survives or not on its own, and ``[k]`` keeps the
+    ``k``-th survivor in axis order.  A fractional or non-positive
+    ``k`` selects nothing (-1).
+    """
+    if not predicates or not isinstance(predicates[-1], NumberLiteral):
+        return 0
+    for predicate in predicates[:-1]:
+        boolean = (
+            isinstance(predicate, BinaryOp) and predicate.op in _BOOLEAN_OPS
+        ) or (
+            isinstance(predicate, FunctionCall)
+            and predicate.name in _BOOLEAN_FUNCTIONS
+        )
+        if not boolean or _uses_position(predicate):
+            return 0
+    value = predicates[-1].value
+    if value != int(value) or value < 1:
+        return -1
+    return int(value)
 
 
 class Evaluator:
@@ -271,17 +330,6 @@ class Evaluator:
             return self._apply_steps(path.steps, nodes, context)
         return nodes
 
-    def apply_steps(self, steps, start: list, context: XPathContext) -> list:
-        """Public step-sequence application (document-ordered, deduped).
-
-        Applying a location path is associative over its steps:
-        ``apply_steps(p + q, start) == apply_steps(q, apply_steps(p,
-        start))`` — the compiled-wrapper prefix factoring in
-        :mod:`repro.service.compiler` relies on this to evaluate a
-        shared prefix once and continue with each rule's suffix.
-        """
-        return self._apply_steps(steps, start, context)
-
     def _apply_steps(self, steps, start: list, context: XPathContext) -> list:
         current = list(start)
         for step in steps:
@@ -292,12 +340,32 @@ class Evaluator:
         return current
 
     def _apply_step(self, step: Step, node, context: XPathContext) -> list:
+        axis, test = step.axis, step.node_test
+        wanted = _lazy_index(step.predicates)
+        if wanted:
+            # Walk the axis lazily and stop at the wanted survivor: a
+            # nearest-label lookup (``preceding::text()[...][1]``)
+            # then costs the distance to the label, not the page.
+            if wanted < 0:
+                return []
+            filters = step.predicates[:-1]
+            for candidate in self._axis(axis, node):
+                if not self._matches_test(axis, test, candidate):
+                    continue
+                sub_context = context.with_node(candidate, 1, 1)
+                if all(
+                    to_boolean(self.evaluate(predicate, sub_context))
+                    for predicate in filters
+                ):
+                    wanted -= 1
+                    if not wanted:
+                        return [candidate]
+            return []
         candidates = [
             candidate
-            for candidate in self._axis(step.axis, node)
-            if self._matches_test(step.axis, step.node_test, candidate)
+            for candidate in self._axis(axis, node)
+            if self._matches_test(axis, test, candidate)
         ]
-        reverse = step.axis in _REVERSE_AXES
         for predicate in step.predicates:
             candidates = self._filter_by_predicate(
                 candidates, predicate, context, reverse=False
@@ -326,19 +394,20 @@ class Evaluator:
     # Axes and node tests
     # ------------------------------------------------------------------ #
 
-    def _axis(self, axis: str, node) -> list:
+    def _axis(self, axis: str, node) -> Iterable:
+        """``node``'s ``axis`` in axis order; the long axes are lazy."""
         if isinstance(node, AttributeNode):
             return self._attribute_axis_member(axis, node)
         if axis == "child":
-            return list(node.children)
+            return node.children
         if axis == "descendant":
-            return list(node.descendants())
+            return node.descendants()
         if axis == "descendant-or-self":
-            return list(node.self_and_descendants())
+            return node.self_and_descendants()
         if axis == "parent":
             return [node.parent] if node.parent is not None else []
         if axis == "ancestor":
-            return list(node.ancestors())
+            return node.ancestors()
         if axis == "ancestor-or-self":
             return [node, *node.ancestors()]
         if axis == "self":
@@ -354,9 +423,9 @@ class Evaluator:
             index = node.index_in_parent
             return list(reversed(node.parent.children[:index]))
         if axis == "following":
-            return list(node.following())
+            return node.following()
         if axis == "preceding":
-            return list(node.preceding())
+            return node.preceding()
         if axis == "attribute":
             if isinstance(node, Element):
                 return [

@@ -61,9 +61,22 @@ def _repository(*rules: MappingRule, cluster: str = "c") -> RuleRepository:
     return repository
 
 
+#: A label anchor on the *following* text: the scan's register holds
+#: only the preceding label, so this location stays automaton-ineligible.
+_FOLLOWING_ANCHOR = (
+    'BODY//SPAN/text()[normalize-space(following::text()'
+    '[normalize-space(.) != ""][1]) = "By:"]'
+)
+
+
 @pytest.fixture(scope="module")
 def news():
-    """One real induced family: repository + fitted router."""
+    """One real induced family: repository + fitted router.
+
+    Every induced location rides the automaton, so the repository also
+    records one rule with an ineligible location: the RW301 info the
+    CLI and stats-passthrough tests below count on.
+    """
     pages = generate_news_site(12, seed=4).pages_with_hint("news-articles")
     repository = RuleRepository()
     report = MappingRuleBuilder(
@@ -71,6 +84,7 @@ def news():
         cluster_name="news-articles", seed=1,
     ).build_all(["headline", "byline", "date"])
     assert report.failed_components == []
+    repository.record("news-articles", _rule("teaser", _FOLLOWING_ANCHOR))
     router = ClusterRouter.fit({"news-articles": pages[:8]}, threshold=0.8)
     return repository, router
 
@@ -225,7 +239,7 @@ class TestAnalyzeRule:
         assert [f for f in analyze_rule(rule) if f.code == "RW201"] == []
 
     def test_rw301_carries_the_automaton_reason(self):
-        findings = analyze_rule(_rule("x", "BODY[1]//SPAN[1]"))
+        findings = analyze_rule(_rule("x", "BODY[1]/descendant::SPAN[1]"))
         (finding,) = [f for f in findings if f.code == "RW301"]
         assert finding.severity == "info"
         assert "descendant" in finding.message
@@ -426,7 +440,7 @@ class TestMutations:
             run_mutation("corrupted-artifact", repository, router)
 
     def test_no_eligible_rule_is_a_lookup_error(self):
-        ineligible = _repository(_rule("x", "BODY[1]//SPAN"))
+        ineligible = _repository(_rule("x", "BODY[1]/descendant::SPAN"))
         with pytest.raises(LookupError):
             run_mutation("unsatisfiable-predicate", ineligible, None)
 

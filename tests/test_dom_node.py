@@ -142,10 +142,10 @@ class TestNavigation:
 
 
 class TestDocumentOrder:
-    def test_path_indices(self):
-        doc, body, div1, p1, t1, p2, *_ = build_tree()
-        assert body.path_indices() == (0,)
-        assert p2.path_indices() == (0, 0, 1)
+    def test_document_order(self):
+        doc, body, div1, p1, t1, p2, t2, b, tb, div2 = build_tree()
+        nodes = [doc, body, div1, p1, t1, p2, t2, b, tb, div2]
+        assert [node.document_order() for node in nodes] == list(range(10))
 
     def test_compare_document_order(self):
         _, _, _, p1, t1, p2, *_ = build_tree()
@@ -161,6 +161,47 @@ class TestDocumentOrder:
         _, body, div1, p1, t1, p2, t2, b, tb, div2 = build_tree()
         result = sort_document_order([tb, p1, tb, div1, body])
         assert result == [body, div1, p1, tb]
+
+    def test_stamps_follow_every_mutation(self):
+        # Sorting stamps the tree once; each mutation method must make
+        # the next sort retake the stamps, never trust the old ones.
+        doc, body, div1, p1, t1, p2, t2, b, tb, div2 = build_tree()
+        assert sort_document_order([div2, tb, p1]) == [p1, tb, div2]
+        body.insert_before(div2, div1)          # div2 now first
+        assert sort_document_order([tb, div2, p1]) == [div2, p1, tb]
+        div2.append_child(b)                    # b (and "bold") moves
+        assert sort_document_order([t1, tb, t2]) == [tb, t1, t2]
+        div1.remove_child(p1)
+        body.append_child(p1)                   # p1 now last
+        assert sort_document_order([p1, t2, tb]) == [tb, t2, p1]
+
+    def test_stamped_subtree_moved_into_another_tree(self):
+        # A subtree sorted while detached carries its own stamps; once
+        # attached they must not be mixed with the new tree's.
+        doc, body, div1, p1, t1, p2, t2, b, tb, div2 = build_tree()
+        loose = Element("span")
+        first = loose.append_child(Text("x"))
+        second = loose.append_child(Text("y"))
+        assert sort_document_order([second, first]) == [first, second]
+        assert sort_document_order([div2, t1]) == [t1, div2]
+        div1.insert_before(loose, p1)
+        # ``second`` keyed first: its detached stamp must not be reused.
+        assert sort_document_order([second, div2, t1, first]) == [
+            first, second, t1, div2,
+        ]
+
+    def test_preceding_walks_deep_trees_without_recursion(self):
+        # The nearest label sits at the bottom of a 5,000-deep subtree
+        # before the value: the axis must reach it without recursing.
+        doc = Document()
+        body = doc.append_child(Element("body"))
+        node = body
+        for _ in range(5000):
+            node = node.append_child(Element("div"))
+        node.append_child(Text("label"))
+        leaf = body.append_child(Text("value"))
+        nearest = next(n for n in leaf.preceding() if isinstance(n, Text))
+        assert nearest.data == "label"
 
 
 class TestContent:

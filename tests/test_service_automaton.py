@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+import time
 
 import pytest
 
@@ -13,8 +15,10 @@ from repro.extraction.postprocess import PostProcessor, split_list
 from repro.service.automaton import (
     ExtractionAutomaton,
     automaton_steps,
-    child_step_eligible,
+    location_ineligibility,
+    step_anchor,
     step_constraint,
+    step_ineligibility,
     _UNBOUNDED,
 )
 from repro.service.metrics import ProgressEmitter
@@ -35,11 +39,27 @@ def _first_step(expression: str) -> Step:
     return compile_xpath(expression).ast.steps[0]
 
 
+def _anchor(label: str, axis: str = "preceding") -> str:
+    """The rule builder's label anchor predicate (Section 3.4)."""
+    return (
+        f'normalize-space({axis}::text()[normalize-space(.) != ""][1])'
+        f' = "{label}"'
+    )
+
+
+ANCHOR = _anchor("Price:")
+AFTER = _anchor("Price:", axis="following")
+CONTAINS = (
+    'contains(normalize-space(preceding::text()[normalize-space(.) != ""]'
+    '[1]), "Price")'
+)
+
+
 class TestEligibility:
     def test_plain_and_number_literal_steps(self):
-        assert child_step_eligible(_first_step("TR"))
-        assert child_step_eligible(_first_step("TR[2]"))
-        assert not child_step_eligible(_first_step("TR[position() >= 2]"))
+        assert step_ineligibility(_first_step("TR")) is None
+        assert step_ineligibility(_first_step("TR[2]")) is None
+        assert step_constraint(_first_step("TR")) == (1, _UNBOUNDED, 0)
 
     @pytest.mark.parametrize("expression, expected", [
         ("TR", (1, _UNBOUNDED, 0)),
@@ -69,13 +89,59 @@ class TestEligibility:
 
     @pytest.mark.parametrize("expression", [
         "/BODY[1]/DIV[1]",            # absolute: re-anchors the context
-        "BODY//DIV[1]",               # descendant axis
+        "BODY/descendant::DIV[1]",    # descendant axis spelled out
         "DIV[@id]",                   # value predicate
         "DIV[position() mod 2]",      # unsupported comparison shape
         "DIV[1][2]",                  # more than one predicate
+        "BODY/descendant-or-self::node()",  # trailing //: whole subtrees
+        "BODY/descendant-or-self::DIV/P",   # not a bare //
+        # Anchors the register cannot answer: the label after the
+        # candidate, a substring test, a second predicate, a comment.
+        f"BODY//TD/text()[{AFTER}]",
+        f"BODY//TD/text()[{CONTAINS}]",
+        f"BODY//TD/text()[{ANCHOR}][1]",
+        f"BODY//P/comment()[{ANCHOR}]",
     ])
     def test_ineligible_locations(self, expression):
-        assert automaton_steps(compile_xpath(expression)) is None
+        xpath = compile_xpath(expression)
+        assert automaton_steps(xpath) is None
+        assert location_ineligibility(xpath) is not None
+
+    @pytest.mark.parametrize("expression, reason", [
+        (f"BODY//TD/text()[{AFTER}]", "following::"),
+        (f"BODY//TD/text()[{CONTAINS}]", "contains()"),
+        (f"BODY//P/comment()[{ANCHOR}]", "name test or text()"),
+        ("BODY/descendant-or-self::node()", "trailing //"),
+    ])
+    def test_ineligibility_names_the_anchor_shape(self, expression, reason):
+        assert reason in location_ineligibility(compile_xpath(expression))
+
+    @pytest.mark.parametrize("expression", [
+        "BODY//DIV[1]",
+        "BODY//TD[2]/text()",
+        "descendant-or-self::node()/TD",
+        "BODY//DIV//P",
+        f"BODY//TD/text()[{ANCHOR}]",
+        f"BODY//UL[{ANCHOR}]/LI/text()[1]",
+        f"BODY//*[{ANCHOR}]",
+    ])
+    def test_eligible_locations(self, expression):
+        xpath = compile_xpath(expression)
+        assert automaton_steps(xpath) == xpath.ast.steps
+        assert location_ineligibility(xpath) is None
+
+    def test_anchor_is_matched_on_the_ast(self):
+        assert step_anchor(_first_step(f"text()[{ANCHOR}]")) == "Price:"
+        # The same test spelled without the ``.`` argument is another
+        # AST, so it stays with the generic evaluator.
+        respelled = (
+            'text()[normalize-space(preceding::text()'
+            '[normalize-space() != ""][1]) = "Price:"]'
+        )
+        assert step_anchor(_first_step(respelled)) is None
+        # Anchors say nothing about position: RW101/RW102 stay the
+        # positional calculus alone.
+        assert step_constraint(_first_step(f"TD[{ANCHOR}]")) is None
 
     def test_eligible_location_returns_its_steps(self):
         steps = automaton_steps(compile_xpath("DIV[2]/TABLE[1]/TR"))
@@ -89,7 +155,7 @@ class TestScan:
         "<div><table><tr><td>a</td><td>b</td></tr>"
         "<tr><td>c</td></tr></table>"
         "<ul><li>one</li><li>two</li><li>three</li></ul>"
-        "<p>head<!--note-->tail</p></div></body>"
+        "<p>head<!--note-->tail<!--end--></p></div></body>"
     ))
 
     @pytest.mark.parametrize("expression", [
@@ -101,6 +167,9 @@ class TestScan:
         "BODY[1]/DIV[2]/P[1]/text()",
         "BODY[1]/DIV[2]/P[1]/text()[2]",
         "BODY[1]/DIV[2]/P[1]/comment()[1]",
+        "BODY[1]/DIV[2]/P[1]/comment()[2]",
+        "BODY[1]/DIV[2]/*[2]",
+        "BODY[1]/DIV[2]/P[1]/node()[3]",
         "BODY[1]/DIV[2]/P[1]/node()",
         "BODY[1]/DIV[1]/TABLE[1]/TR",   # matches nothing
         "BODY[1]/DIV[2]/TABLE[1]/TR[0]",  # provably void
@@ -132,6 +201,116 @@ class TestScan:
         hits = automaton.scan(context)
         for slot, xpath in enumerate(compiled):
             assert hits[slot] == xpath.select(context)
+
+    #: Labels at several depths, nested TDs and DIVs, blank and
+    #: odd-whitespace texts, a label in HEAD and one inside a comment.
+    ANCHOR_PAGE = WebPage(url="http://t/anchors", html=(
+        "<html><head><title>Price:</title></head><body>"
+        "<td>head cell</td>"
+        "<div><b>Price:</b> <span>10</span>"
+        "<table><tr><td>Price:</td><td>20<table><tr><td>Price:</td>"
+        "<td>30</td></tr></table>tail</td></tr>"
+        "<tr><td>Old\xa0 price:</td><td>  </td><td>40</td></tr></table>"
+        "<!--Price:--><div><div><p>Price:</p><p>50</p></div></div>"
+        "<ul><li>Features</li></ul><p>Features</p>"
+        "<ul><li>a</li><li>b</li></ul></div></body></html>"
+    ))
+
+    @pytest.mark.parametrize("expression", [
+        "BODY//TD",
+        "BODY//TD[1]/text()",
+        "BODY//TD[2]",
+        "BODY//TD[2]/text()",
+        "BODY//DIV//P/text()",
+        "BODY//DIV//DIV",
+        "BODY//TR/TD[position() > 1]/text()[1]",
+        f"BODY//TD/text()[{ANCHOR}]",
+        f"BODY//SPAN/text()[{ANCHOR}]",
+        f"BODY//P/text()[{ANCHOR}]",
+        f"BODY//TD[{ANCHOR}]",
+        f"BODY//*[{ANCHOR}]",
+        f"BODY//TD/text()[{_anchor('Old price:')}]",
+        f"BODY//TD/text()[{_anchor('')}]",
+        f"BODY//UL[{_anchor('Features')}]/LI/text()[1]",
+        f"BODY//TABLE[{_anchor('Price:')}]/TR/TD[2]/text()[1]",
+        f"BODY/DIV[1]//text()[{ANCHOR}]",
+    ])
+    def test_new_grammar_matches_generic_evaluator(self, expression):
+        # ``//`` puts a slot's matches at many depths, and nested TDs
+        # and DIVs reach a state twice at one frame: the scan must
+        # still answer in document order without duplicates.
+        xpath = compile_xpath(expression)
+        steps = automaton_steps(xpath)
+        assert steps is not None
+        automaton = ExtractionAutomaton([(0, steps)])
+        for context in (
+            self.ANCHOR_PAGE.root_element,
+            self.ANCHOR_PAGE.document.document_element.children[1],
+        ):
+            assert automaton.scan(context)[0] == xpath.select(context)
+
+    def test_register_is_seeded_from_the_context(self):
+        # Scanned from the inner TABLE, the label of its first cell
+        # ("20", the text before the table) lies outside the scanned
+        # subtree; the register must still hold it, exactly as the
+        # evaluator's preceding axis does.
+        xpath = compile_xpath(f"TR/TD/text()[{_anchor('20')}]")
+        automaton = ExtractionAutomaton([(0, automaton_steps(xpath))])
+        inner = self.ANCHOR_PAGE.root_element.find_all("TABLE")[1]
+        hits = automaton.scan(inner)[0]
+        assert [node.data for node in hits] == ["Price:"]
+        assert hits == xpath.select(inner)
+
+    def test_shared_and_mixed_locations_in_one_scan(self):
+        locations = [
+            f"BODY//TD/text()[{ANCHOR}]",
+            f"BODY//TD/text()[{_anchor('Old price:')}]",
+            "BODY//TD[2]/text()",
+            "BODY[1]/DIV[1]/UL[2]/LI/text()[1]",
+            f"BODY//UL[{_anchor('Features')}]/LI/text()[1]",
+        ]
+        compiled = [compile_xpath(e) for e in locations]
+        automaton = ExtractionAutomaton(
+            (slot, automaton_steps(x)) for slot, x in enumerate(compiled)
+        )
+        context = self.ANCHOR_PAGE.root_element
+        hits = automaton.scan(context)
+        for slot, xpath in enumerate(compiled):
+            assert hits[slot] == xpath.select(context), locations[slot]
+
+    def test_bounded_frames_stop_only_without_an_anchor(self):
+        # DIV[1]'s frame has one bounded entry, P[1]: once P[1] is
+        # matched no later child of that DIV can match, so the frame
+        # stops there.  With an anchor in the automaton it must not:
+        # the text after P[1] is the label of the SPAN in DIV[2].
+        page = WebPage(url="http://t/stop", html=(
+            "<body><div><p>x</p><p>y</p>Price:</div>"
+            "<div><span>9</span></div></body>"
+        ))
+        locations = [
+            "BODY[1]/DIV[1]/P[1]/text()[1]",
+            f"BODY[1]/DIV[2]/SPAN[{ANCHOR}]/text()",
+        ]
+        compiled = [compile_xpath(e) for e in locations]
+        for group in (compiled[:1], compiled):
+            automaton = ExtractionAutomaton(
+                (slot, automaton_steps(x)) for slot, x in enumerate(group)
+            )
+            hits = automaton.scan(page.root_element)
+            for slot, xpath in enumerate(group):
+                assert hits[slot] == xpath.select(page.root_element)
+        assert [node.data for node in hits[1]] == ["9"]
+
+    def test_deep_anchored_page_does_not_recurse(self):
+        depth = 5000
+        page = WebPage(url="http://deep/", html=(
+            "<body><b>Price:</b>" + "<div>" * depth + "<span>9</span>"
+        ))
+        xpath = compile_xpath(f"BODY//SPAN/text()[{ANCHOR}]")
+        automaton = ExtractionAutomaton([(0, automaton_steps(xpath))])
+        (hits,) = automaton.scan(page.root_element)
+        assert [node.data for node in hits] == ["9"]
+        assert hits == xpath.select(page.root_element)
 
     def test_deep_document_does_not_recurse(self):
         # The scan is an explicit-stack traversal: a location as deep
@@ -234,6 +413,62 @@ def _upper_and_split(components: list) -> PostProcessor:
     return post
 
 
+#: Filler words: lower case, so no padding text equals an anchor label.
+_PAD_WORDS = (
+    "amber basin cedar delta ember fjord grove harbor inlet juniper "
+    "kestrel lagoon meadow nectar orchard pebble quarry ridge summit"
+).split()
+
+
+def _padded(page: WebPage, factor: int) -> WebPage:
+    """``page`` grown ``factor``-fold with filler before ``</body>``.
+
+    The filler uses the tags the contextual locations test (H1, SPAN,
+    S, UL/LI, TABLE/TD), so every padding block is a candidate the
+    anchors must reject.
+    """
+    rng = random.Random(f"{page.url}/{factor}")
+
+    def words(k: int) -> str:
+        return " ".join(rng.choice(_PAD_WORDS) for _ in range(k))
+
+    blocks = [f"<div><p>{words(4)}</p>"]
+    size = factor * len(page.html)
+    grown = len(page.html)
+    while grown < size:
+        block = rng.choice([
+            f"<h1>{words(3)}</h1>",
+            f"<p>{words(3)} <span>{words(2)}</span> <s>{words(1)}</s></p>",
+            "<ul>" + "".join(f"<li>{words(2)}</li>" for _ in range(3))
+            + "</ul>",
+            "<table>" + "".join(
+                f"<tr><td>{words(2)}</td><td>{words(1)}</td></tr>"
+                for _ in range(2)
+            ) + "</table>",
+        ])
+        blocks.append(block)
+        grown += len(block)
+    blocks.append("</div>")
+    cut = page.html.rfind("</body>")
+    cut = len(page.html) if cut < 0 else cut
+    html = page.html[:cut] + "".join(blocks) + page.html[cut:]
+    return WebPage(url=f"{page.url}#x{factor}", html=html,
+                   cluster_hint=page.cluster_hint)
+
+
+def _nested(page: WebPage, depth: int) -> WebPage:
+    """``page`` with ``depth`` nested DIVs (a text at the bottom) at
+    the start of BODY."""
+    cut = page.html.lower().index("<body")
+    cut = page.html.index(">", cut) + 1
+    html = (
+        page.html[:cut] + "<div>" * depth + "deep" + "</div>" * depth
+        + page.html[cut:]
+    )
+    return WebPage(url=f"{page.url}#deep{depth}", html=html,
+                   cluster_hint=page.cluster_hint)
+
+
 class TestByteIdentitySweep:
     @pytest.mark.parametrize("site_factory, cluster, components",
                              SITE_FAMILIES)
@@ -244,6 +479,83 @@ class TestByteIdentitySweep:
         sequential = ExtractionProcessor(repository, cluster).extract(stream)
         compiled = repository.compile_cluster(cluster).extract(stream)
         assert _outcome(compiled) == _outcome(sequential)
+
+    @pytest.mark.parametrize("factor", [4, 16])
+    @pytest.mark.parametrize("site_factory, cluster, components",
+                             SITE_FAMILIES)
+    def test_padded_pages_identical(self, family, site_factory, cluster,
+                                    components, factor):
+        # Padding multiplies the anchors' candidates; the wrapper must
+        # still answer exactly as the reference processor does.
+        pages, repository = family(site_factory, cluster, components)
+        stream = [_padded(page, factor) for page in pages[8:12]]
+        sequential = ExtractionProcessor(repository, cluster).extract(stream)
+        compiled = repository.compile_cluster(cluster).extract(stream)
+        assert _outcome(compiled) == _outcome(sequential)
+        assert any(p.values != {} for p in compiled.pages)
+
+    def test_deep_shop_page_gives_one_record_everywhere(self, family):
+        # 3,000 nested DIVs at the start of BODY: the label lookups
+        # walk past them, deeper than a recursive walk could go.
+        site_factory, cluster, components = SITE_FAMILIES[2].values
+        pages, repository = family(site_factory, cluster, components)
+        page = _nested(pages[9], 3000)
+        failures: list = []
+        values = ExtractionProcessor(repository, cluster).extract_page(
+            page, failures
+        ).values
+        assert values == repository.compile_cluster(cluster).extract_page(
+            page
+        ).values
+        assert values["price"] and values["features"]
+        expected = _served_line(
+            page.url, cluster, values,
+            [(f.component_name, f.reason) for f in failures],
+        )
+        handler = ServeHandler(repository, cluster=cluster)
+        assert handler.handle_line(
+            json.dumps({"url": page.url, "html": page.html})
+        )[0] == expected
+        for executor in ("inline", "process"):
+            runtime = StreamingRuntime(
+                repository, executor=executor, workers=2, ordered=True,
+            )
+            _, records = runtime.run_collect(IterablePageSource([page]))
+            assert [
+                _served_line(r.url, r.cluster, r.values, r.failures)
+                for r in records
+            ] == [expected], executor
+
+    def test_very_deep_page_extracts_in_linear_time(self, family):
+        # Ten times the nesting may cost about ten times as much on each
+        # path, whatever the host's speed; a walk quadratic in depth
+        # costs a hundred times as much (at 20,000 DIVs, tens of
+        # seconds).
+        site_factory, cluster, components = SITE_FAMILIES[2].values
+        pages, repository = family(site_factory, cluster, components)
+        wrapper = repository.compile_cluster(cluster)
+        processor = ExtractionProcessor(repository, cluster)
+        shallow, deep = (_nested(pages[9], depth) for depth in (2000, 20000))
+        for page in (shallow, deep):
+            compiled = wrapper.extract_page(page)
+            reference = processor.extract_page(page)
+            assert compiled.values == reference.values
+            assert compiled.raw_values == reference.raw_values
+            assert compiled.values["price"]
+
+        def best_of_three(extract, page) -> float:
+            times = []
+            for _ in range(3):
+                started = time.perf_counter()
+                extract(page)
+                times.append(time.perf_counter() - started)
+            return min(times)
+
+        for extract in (wrapper.extract_page, processor.extract_page):
+            ratio = best_of_three(extract, deep) / best_of_three(
+                extract, shallow
+            )
+            assert ratio < 25, (extract, ratio)
 
     @pytest.mark.parametrize("post", [False, True],
                              ids=["raw", "postprocessed"])
@@ -257,7 +569,9 @@ class TestByteIdentitySweep:
         # three must answer every page exactly as the processor does.
         pages, repository = family(site_factory, cluster, components)
         postprocessor = _upper_and_split(components) if post else None
-        stream = pages + MALFORMED
+        stream = (
+            pages + [_padded(pages[0], 4), _padded(pages[1], 16)] + MALFORMED
+        )
         processor = ExtractionProcessor(
             repository, cluster, postprocessor=postprocessor
         )
@@ -309,8 +623,7 @@ class TestCompilerStats:
             "imdb-movies"
         ).stats.as_dict()
         assert set(payload) == {
-            "rules", "trie_rules", "primary_steps", "trie_nodes",
-            "steps_shared", "automaton_slots", "automaton_states",
+            "rules", "automaton_slots", "automaton_states",
             "automaton_transitions", "automaton_location_steps",
             "automaton_steps_saved", "lint_findings",
         }

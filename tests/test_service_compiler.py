@@ -8,14 +8,8 @@ from repro.core.repository import RuleRepository
 from repro.core.rule import MappingRule
 from repro.extraction.extractor import ExtractionProcessor
 from repro.extraction.postprocess import PostProcessor, regex_extractor, split_list
-from repro.service.compiler import (
-    CompiledWrapper,
-    _apply_fast_child_step,
-    _fast_step_eligible,
-    compile_wrapper,
-)
+from repro.service.compiler import CompiledWrapper, compile_wrapper
 from repro.sites.page import WebPage
-from repro.xpath.parser import parse_xpath
 
 
 def _repo(*rules, cluster="c"):
@@ -42,26 +36,21 @@ class TestCompilation:
         wrappers = service_repository.compile_all()
         assert set(wrappers) == {"imdb-movies", "imdb-actors"}
 
-    def test_prefix_factoring_shares_steps(self, service_repository):
-        # imdb's primaries all ride the automaton: its trie stays empty.
+    def test_ineligible_primaries_match_the_processor(
+        self, service_repository
+    ):
+        # imdb's primaries all ride the automaton.
         imdb = service_repository.compile_cluster("imdb-movies").stats
         assert imdb.automaton_slots == 3
-        assert (imdb.trie_rules, imdb.primary_steps, imdb.trie_nodes) == (
-            0, 0, 0,
-        )
-        # Primaries the automaton cannot take (descendant axes) share
-        # their BODY[1]/DIV[2] prefix in the residual trie: it must
-        # hold strictly fewer nodes than the flat step count.
+        # Primaries the automaton cannot take (an explicit descendant
+        # axis) evaluate through XPath.select, byte for byte as the
+        # processor does.
         repository = _repo(
             ("a", ["BODY[1]/DIV[2]/descendant::P[1]/text()[1]"]),
             ("b", ["BODY[1]/DIV[2]/descendant::SPAN[1]/text()[1]"]),
         )
         wrapper = repository.compile_cluster("c")
-        stats = wrapper.stats
-        assert stats.automaton_slots == 0
-        assert stats.trie_rules == 2
-        assert stats.trie_nodes < stats.primary_steps
-        assert stats.steps_shared == 2
+        assert wrapper.stats.automaton_slots == 0
         page = WebPage(url="http://x/", html=(
             "<body><div></div><div><p>one</p><b><span>two</span></b>"
             "</div></body>"
@@ -73,53 +62,12 @@ class TestCompilation:
         assert (wrapper.extract_page(page).raw_values
                 == processor.extract_page(page).raw_values)
 
-    def test_disjoint_prefixes_do_not_share(self):
-        repository = _repo(
-            ("a", ["BODY[1]/P[1]/text()[1]"]),
-            ("b", ["DIV[1]/P[1]/text()[1]"]),
-        )
-        wrapper = repository.compile_cluster("c")
-        assert wrapper.stats.steps_shared == 0
-
-    def test_absolute_location_stays_out_of_trie(self):
+    def test_absolute_location_evaluates_through_select(self):
         repository = _repo(("a", ["/HTML[1]/BODY[1]/P[1]/text()[1]"]))
         wrapper = repository.compile_cluster("c")
-        assert wrapper.stats.trie_rules == 0
+        assert wrapper.stats.automaton_slots == 0
         page = WebPage(url="http://x/", html="<body><p>hello</p></body>")
         assert wrapper.extract_page(page).values["a"] == ["hello"]
-
-
-class TestFastStep:
-    def _steps(self, source):
-        return parse_xpath(source).steps
-
-    def test_eligibility(self):
-        steps = self._steps("DIV[2]/P/text()[1]")
-        assert all(_fast_step_eligible(step) for step in steps)
-        (pred,) = self._steps("LI[position() >= 1]")
-        assert not _fast_step_eligible(pred)
-        (desc,) = self._steps("descendant::P")
-        assert not _fast_step_eligible(desc)
-
-    def test_matches_generic_evaluator(self, simple_root):
-        from repro.xpath.engine import select
-
-        for source in [
-            "BODY[1]/DIV[2]/TABLE[1]/TR[2]/TD[1]/text()[1]",
-            "BODY[1]/DIV[2]/UL[1]/LI[2]/text()[1]",
-            "BODY[1]/DIV[1]/H1[1]/text()[1]",
-        ]:
-            expected = select(simple_root, source)
-            nodes = [simple_root]
-            for step in self._steps(source):
-                assert _fast_step_eligible(step)
-                nodes = _apply_fast_child_step(step, nodes)
-            assert nodes == expected
-
-    def test_fractional_position_matches_nothing(self):
-        page = WebPage(url="http://x/", html="<body><p>a</p></body>")
-        (step,) = self._steps("P[1.5]")
-        assert _apply_fast_child_step(step, [page.root_element]) == []
 
 
 class TestByteIdentity:

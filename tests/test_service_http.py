@@ -234,6 +234,29 @@ class TestProtocol:
         status, _, _ = self._refused(handler, b"NONSENSE\r\n\r\n")
         assert status == 400
 
+    @pytest.mark.parametrize("separator", [b"\x1c", b"\x85", b"\xa0"],
+                             ids=["file-separator", "nel", "nbsp"])
+    def test_request_line_splits_only_on_rfc_9112_whitespace(
+        self, handler, separator
+    ):
+        # RFC 9112 §3: SP separates the parts (HTAB, VT, FF and bare
+        # CR leniently); bytes Python's str.split() also takes do not.
+        status, _, _ = self._refused(
+            handler,
+            b"GET" + separator + b"/healthz" + separator
+            + b"HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        assert status == 400
+
+    def test_request_line_tolerates_lenient_whitespace(self, handler):
+        raw = b"GET\t/healthz \x0b\x0cHTTP/1.1 \r\nHost: t\r\n\r\n"
+        async def scenario(front):
+            return await _roundtrip(front.port, raw)
+        (status, _, body), front = _with_front_end(handler, scenario)
+        assert status == 200
+        assert json.loads(body)["status"] == "ok"
+        assert front.stats.protocol_errors == 0
+
     def test_overlong_request_line_is_431(self, handler):
         status, _, _ = self._refused(
             handler,

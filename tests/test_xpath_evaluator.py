@@ -29,6 +29,38 @@ def root():
     return doc.document_element
 
 
+class TestLazyPositionalStep:
+    """``axis::T[filters][k]`` may stop at the k-th survivor only when
+    every earlier filter is a position-free boolean test."""
+
+    @pytest.mark.parametrize("expression, expected", [
+        ("preceding::TD[1]", ["gamma"]),
+        ('preceding::TD[. != "2"][2]', ["beta"]),
+        ('preceding::TD[contains(., "a")][3]', ["alpha"]),
+        # Earlier filters that read position() or last(), or are not
+        # boolean, must see the whole axis.
+        ("preceding::TD[position() > 1][1]", ["2"]),
+        ("preceding::TD[last()][1]", ["alpha"]),
+        ("preceding::TD[3][1]", ["beta"]),
+        ("preceding::TD[0.5]", []),
+        ("preceding::TD[0]", []),
+        ("ancestor::*[2]", ["TABLE"]),
+    ])
+    def test_matches_the_whole_axis_semantics(self, root, expression,
+                                              expected):
+        last_cell = select_one(root, "BODY/DIV[2]/TABLE/TR[4]/TD[2]")
+        found = select(last_cell, expression)
+        assert [
+            node.text_content() if node.tag == "TD" else node.tag
+            for node in found
+        ] == expected
+
+    def test_following_stops_at_the_kth(self, root):
+        first_cell = select_one(root, "BODY/DIV[2]/TABLE/TR[2]/TD[1]")
+        (node,) = select(first_cell, "following::TD[2]")
+        assert node.text_content() == "beta"
+
+
 class TestAxes:
     def test_child(self, root):
         assert len(select(root, "BODY/DIV")) == 2
