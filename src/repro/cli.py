@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import dataclasses
 import os
 import re
 import signal
@@ -324,38 +325,41 @@ def _fit_router_from_paths(
     return ClusterRouter.fit(by_cluster, threshold=threshold)
 
 
-def _make_adapter(args, router):
+def _make_adapter(args, router, log_suffix: str = ""):
     """Build the ``--adapt`` layer; ``None`` (with a message) on error.
 
     Adaptation watches routing decisions, so it needs a fitted
     signature router — hint-based routing has no profiles to refit.
-    The audit log starts in-memory; :func:`_attach_adapter_log` opens
-    the ``--adapt-log`` file only after the rest of the command has
-    validated, so a command that never runs cannot truncate a
-    previous run's audit trail.
+    The audit log starts in-memory.  The ``--adapt-log`` file is only
+    opened for append here, so a path that cannot be written refuses
+    the command before the registry seed, and a command that never
+    runs cannot truncate a previous run's audit trail;
+    :func:`_attach_adapter_log` replaces it once the command runs.
     """
     from repro.errors import ClusteringError
     from repro.service import make_adapter
 
     try:
-        return make_adapter(
+        adapter = make_adapter(
             router,
             window=args.drift_window,
             threshold=args.drift_threshold,
             low_margin=args.drift_margin,
             spawn_clusters=args.adapt_spawn,
         )
-    except (ClusteringError, ValueError) as exc:
+        if args.adapt_log:
+            open(args.adapt_log + log_suffix, "a", encoding="utf-8").close()
+    except (ClusteringError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return None
+    return adapter
 
 
 def _attach_adapter_log(adapter, args, log_suffix: str = "") -> None:
     """Point a validated adapter's audit log at ``--adapt-log``.
 
     ``log_suffix`` keeps audit logs apart when one process runs
-    several adaptive workers (``shard resume``).  Raises ``OSError``
-    when the path cannot be opened.
+    several adaptive workers (``shard resume``).
     """
     from repro.service import AdaptationLog
 
@@ -363,55 +367,105 @@ def _attach_adapter_log(adapter, args, log_suffix: str = "") -> None:
         adapter.log = AdaptationLog(args.adapt_log + log_suffix)
 
 
-def _registry_pinned_artifact(args):
-    """``(registry, repository, router, version)`` for ``--registry``.
+@dataclasses.dataclass
+class _Deployment:
+    """The artifact one process serves, as :func:`_deploy` resolved it."""
 
-    Opens the registry and loads its pinned artifact when one exists
-    (repository/router/version come back ``None`` otherwise); the
-    caller's repository and fitted router are then *replaced* by the
-    pinned version's, so every worker of a run deploys the exact
-    artifact the pin names.  ``RegistryError`` propagates to the
-    caller's error path.
+    repository: RuleRepository
+    router: Optional[object]
+    #: The ``--registry`` store (``None`` without one).
+    registry: Optional[object]
+    #: The registry version served: the pin, or the content id that
+    #: :meth:`seed` publishes into an empty registry.
+    version: Optional[str]
+    #: The registry had no pin, so :meth:`seed` has work to do.
+    unpublished: bool = False
+
+    def seed(self, allow_findings: bool) -> bool:
+        """Publish and pin ``version`` when the registry had no pin.
+
+        Publishing runs the lint gate: error-severity analyzer findings
+        refuse it unless the run passed ``--allow-findings``.  Returns
+        ``False``, with the refusal printed, when the registry refuses.
+        """
+        if not self.unpublished:
+            return True
+        try:
+            manifest = self.registry.publish(
+                self.repository, self.router, source="initial",
+                allow_findings=allow_findings,
+            )
+            self.registry.pin(manifest.version)
+        except LintGateError as exc:
+            from repro.analysis import render_text
+
+            # The findings first, then the next move.
+            print(render_text(exc.findings), file=sys.stderr)
+            print(f"{exc} (pass --allow-findings to deploy anyway)",
+                  file=sys.stderr)
+            return False
+        except RegistryError as exc:
+            print(str(exc), file=sys.stderr)
+            return False
+        self.unpublished = False
+        print("registry: published and pinned initial version "
+              f"{manifest.version}", file=sys.stderr)
+        return True
+
+
+def _deploy(
+    args, exemplars: Optional[list] = None, by_hint: bool = False
+) -> Optional[_Deployment]:
+    """Resolve the rules, router and registry version this process serves.
+
+    The one deployment rule of ``batch``, ``shard run``/``resume`` and
+    ``serve``:
+
+    1. A pinned ``--registry`` version is the artifact: its rules are
+       deployed, and ``--repository`` is not read.
+    2. The router is the pin's, when the pin has one; otherwise one
+       fitted from ``exemplars`` (``serve --exemplars-dir``, or the
+       corpus under ``--route auto``); otherwise none, and pages route
+       by hint or ``--cluster``.  ``by_hint`` (``--route hint``) routes
+       by hint whatever the pin holds.
+    3. With ``--registry`` and nothing pinned, the run publishes and
+       pins exactly what it deploys, and is stamped with that version.
+       The command calls :meth:`_Deployment.seed` once every check that
+       can refuse it has passed, so a refused command publishes nothing.
+
+    Returns ``None``, with the error printed, when the registry or the
+    repository cannot be loaded.
     """
-    from repro.service import ArtifactRegistry
+    router = None
+    try:
+        registry = pinned = None
+        if args.registry:
+            from repro.service import ArtifactRegistry
 
-    registry = ArtifactRegistry(args.registry)
-    pinned = registry.pinned()
-    if pinned is None:
-        return registry, None, None, None
-    repository, router, _ = registry.load(pinned)
-    print(f"registry: using pinned version {pinned}", file=sys.stderr)
-    return registry, repository, router, pinned
+            registry = ArtifactRegistry(args.registry)
+            pinned = registry.pinned()
+        if pinned is not None:
+            repository, router, _ = registry.load(pinned)
+            print(f"registry: using pinned version {pinned}", file=sys.stderr)
+        else:
+            repository = RuleRepository.load(args.repository)
+    except (RegistryError, RepositoryError) as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+    if by_hint:
+        router = None
+    elif router is None and exemplars:
+        router = _fit_router_from_paths(
+            exemplars, repository, args.exemplars, args.threshold
+        )
+    if registry is None or pinned is not None:
+        return _Deployment(repository, router, registry, pinned)
+    from repro.service.registry import artifact_payload, version_id
 
-
-def _publish_initial(
-    registry, repository, router, allow_findings: bool = False
-) -> str:
-    """Seed an empty registry with the artifact this run deploys.
-
-    Publishing runs the lint gate: error-severity analyzer findings
-    raise :class:`~repro.errors.LintGateError` (a ``RegistryError``
-    the callers' error paths already handle) unless the run passed
-    ``--allow-findings``.
-    """
-    manifest = registry.publish(
-        repository, router, source="initial", allow_findings=allow_findings
+    return _Deployment(
+        repository, router, registry,
+        version_id(artifact_payload(repository, router)), unpublished=True,
     )
-    registry.pin(manifest.version)
-    print(
-        f"registry: published and pinned initial version "
-        f"{manifest.version}",
-        file=sys.stderr,
-    )
-    return manifest.version
-
-
-def _print_lint_refusal(exc: LintGateError) -> None:
-    """Render a publish refusal: the findings first, then the next move."""
-    from repro.analysis import render_text
-
-    print(render_text(exc.findings), file=sys.stderr)
-    print(f"{exc} (pass --allow-findings to deploy anyway)", file=sys.stderr)
 
 
 def _dump_metrics(path: str) -> None:
@@ -500,44 +554,15 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if not paths:
         print("no *.html files found", file=sys.stderr)
         return 2
-    try:
-        repository = RuleRepository.load(args.repository)
-    except RepositoryError as exc:
-        print(str(exc), file=sys.stderr)
+    deployment = _deploy(args, paths, by_hint=args.route == "hint")
+    if deployment is None:
         return 2
-    registry = None
-    reg_router = None
-    if args.registry:
-        try:
-            registry, reg_repository, reg_router, _ = (
-                _registry_pinned_artifact(args)
-            )
-            if reg_repository is not None:
-                repository = reg_repository
-        except RegistryError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    router = None
-    if args.route == "auto":
-        router = reg_router if reg_router is not None else (
-            _fit_router_from_paths(
-                paths, repository, args.exemplars, args.threshold
-            )
+    repository, router = deployment.repository, deployment.router
+    if args.route == "auto" and router is None:
+        print(
+            "no hint-labelled exemplar pages found; routing by hints",
+            file=sys.stderr,
         )
-        if router is None:
-            print(
-                "no hint-labelled exemplar pages found; routing by hints",
-                file=sys.stderr,
-            )
-    if registry is not None and registry.pinned() is None:
-        try:
-            _publish_initial(
-                registry, repository, router,
-                allow_findings=args.allow_findings,
-            )
-        except LintGateError as exc:
-            _print_lint_refusal(exc)
-            return 2
     adapter = None
     if args.adapt:
         adapter = _make_adapter(args, router)
@@ -553,10 +578,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             adapter=adapter,
         )
-        _attach_adapter_log(adapter, args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if not deployment.seed(args.allow_findings):
+        return 2
+    _attach_adapter_log(adapter, args)
     # Output files open only now, with everything validated: a
     # command that cannot run must not truncate a previous run's
     # records or audit log.
@@ -630,11 +657,11 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _load_shard_inputs(args) -> Optional[tuple]:
-    """Plan + repository + corpus-presence check shared by run/resume.
+    """``(directory, plan, deployment)`` for ``shard run``/``resume``.
 
-    With ``--registry``, the pinned artifact replaces the repository
-    (and the fitted router), and its version id is returned for the
-    shard manifests — every shard of a run must deploy one version.
+    The router is fitted from the *full* corpus in plan order, so every
+    shard (and an unsharded ``batch``) routes identically, and every
+    shard of a run deploys one artifact version (see :func:`_deploy`).
     """
     from repro.errors import ShardError
     from repro.service import ShardPlan
@@ -642,23 +669,9 @@ def _load_shard_inputs(args) -> Optional[tuple]:
     directory = Path(args.directory)
     try:
         plan = ShardPlan.load(args.plan)
-        repository = RuleRepository.load(args.repository)
-    except (ShardError, RepositoryError) as exc:
+    except ShardError as exc:
         print(str(exc), file=sys.stderr)
         return None
-    registry = None
-    reg_router = None
-    artifact_version = None
-    if args.registry:
-        try:
-            registry, reg_repository, reg_router, artifact_version = (
-                _registry_pinned_artifact(args)
-            )
-            if reg_repository is not None:
-                repository = reg_repository
-        except RegistryError as exc:
-            print(str(exc), file=sys.stderr)
-            return None
     missing = [
         page_id for page_id in plan.page_ids
         if not (directory / page_id).exists()
@@ -670,37 +683,21 @@ def _load_shard_inputs(args) -> Optional[tuple]:
             file=sys.stderr,
         )
         return None
-    router = None
-    if args.route == "auto":
-        if reg_router is not None:
-            router = reg_router
-        else:
-            # Fitted from the *full* corpus in plan order, so every
-            # shard (and an unsharded ``batch``) routes identically.
-            router = _fit_router_from_paths(
-                [directory / page_id for page_id in plan.page_ids],
-                repository, args.exemplars, args.threshold,
-            )
-        if router is None:
-            print(
-                "no hint-labelled exemplar pages found; routing by hints",
-                file=sys.stderr,
-            )
-    if registry is not None and artifact_version is None:
-        try:
-            artifact_version = _publish_initial(
-                registry, repository, router,
-                allow_findings=args.allow_findings,
-            )
-        except LintGateError as exc:
-            _print_lint_refusal(exc)
-            return None
-    return directory, plan, repository, router, artifact_version
+    deployment = _deploy(
+        args, [directory / page_id for page_id in plan.page_ids],
+        by_hint=args.route == "hint",
+    )
+    if deployment is None:
+        return None
+    if args.route == "auto" and deployment.router is None:
+        print(
+            "no hint-labelled exemplar pages found; routing by hints",
+            file=sys.stderr,
+        )
+    return directory, plan, deployment
 
 
-def _run_one_shard(args, directory, plan, repository, router,
-                   shard: int,
-                   artifact_version: Optional[str] = None,
+def _run_one_shard(args, directory, plan, deployment, shard: int,
                    cancel=None):
     """Execute one shard worker; prints the run summary.
 
@@ -715,6 +712,7 @@ def _run_one_shard(args, directory, plan, repository, router,
     # property of the traffic a host actually serves.
     from repro.service.shard import shard_basename
 
+    router = deployment.router
     adapter = None
     if args.adapt:
         # Each shard adapts from the originally fitted profiles: the
@@ -723,18 +721,22 @@ def _run_one_shard(args, directory, plan, repository, router,
         # worker gets its own clone — a resumed shard's output stays
         # identical to running that shard alone on its own host.
         own_router = None if router is None else router.clone()
-        adapter = _make_adapter(args, own_router)
+        adapter = _make_adapter(
+            args, own_router, log_suffix=f".{shard_basename(shard)}"
+        )
         if adapter is None:
             return None
     try:
         worker = ShardWorker(
-            repository, plan, shard,
+            deployment.repository, plan, shard,
             router=None if adapter is not None else router,
             workers=args.workers,
             chunk_size=args.chunk_size,
             skip_unreadable=True,
             adapter=adapter,
         )
+        if not deployment.seed(args.allow_findings):
+            return None
         _attach_adapter_log(
             adapter, args, log_suffix=f".{shard_basename(shard)}"
         )
@@ -744,7 +746,7 @@ def _run_one_shard(args, directory, plan, repository, router,
             lambda page_id: _page_from_path(directory / page_id),
             Path(args.output_dir),
             output_format=args.format,
-            artifact_version=artifact_version,
+            artifact_version=deployment.version,
             cancel=cancel,
             on_progress=progress,
         )
@@ -775,13 +777,11 @@ def cmd_shard_run(args: argparse.Namespace) -> int:
     loaded = _load_shard_inputs(args)
     if loaded is None:
         return 2
-    directory, plan, repository, router, artifact_version = loaded
+    directory, plan, deployment = loaded
     cancel = CancellationToken()
     with _graceful_interrupt(cancel):
-        manifest = _run_one_shard(args, directory, plan, repository,
-                                  router, args.shard,
-                                  artifact_version=artifact_version,
-                                  cancel=cancel)
+        manifest = _run_one_shard(args, directory, plan, deployment,
+                                  args.shard, cancel=cancel)
     if manifest is None:
         return 2
     if args.metrics:
@@ -834,19 +834,19 @@ def cmd_shard_resume(args: argparse.Namespace) -> int:
     loaded = _load_shard_inputs(args)
     if loaded is None:
         return 2
-    directory, plan, repository, router, artifact_version = loaded
+    directory, plan, deployment = loaded
     # Re-runs join a directory of already-complete shards: they must
     # deploy the artifact version those shards ran, or the directory
     # can never merge (``_validate_manifests`` enforces the same).
     stale = sorted({
         status.artifact_version or "(none)" for status in statuses
-        if status.complete and status.artifact_version != artifact_version
+        if status.complete and status.artifact_version != deployment.version
     })
     if stale:
         print(
             f"existing complete shard(s) in {args.output_dir} ran "
             f"artifact version(s) {', '.join(stale)} but this run "
-            f"deploys {artifact_version or '(none)'}; re-pin the "
+            f"deploys {deployment.version or '(none)'}; re-pin the "
             "registry or start a fresh output directory",
             file=sys.stderr,
         )
@@ -862,10 +862,8 @@ def cmd_shard_resume(args: argparse.Namespace) -> int:
     interrupted = False
     with _graceful_interrupt(cancel):
         for status in pending:
-            manifest = _run_one_shard(args, directory, plan, repository,
-                                      router, status.shard,
-                                      artifact_version=artifact_version,
-                                      cancel=cancel)
+            manifest = _run_one_shard(args, directory, plan, deployment,
+                                      status.shard, cancel=cancel)
             if manifest is None:
                 return 2
             if manifest.interrupted:
@@ -915,22 +913,6 @@ def cmd_shard_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CLI override of the consecutive-decode-failure cap before ``serve``
-#: gives up.  ``None`` defers to the single definition in
-#: :data:`repro.service.serve.MAX_DECODE_FAILURES` (the stdin and HTTP
-#: front-ends can never drift); rebind to a number to tune the CLI.
-#: Kept lazy so non-service subcommands never import the serve layer.
-SERVE_MAX_DECODE_FAILURES: Optional[int] = None
-
-
-def _serve_decode_failure_cap() -> int:
-    from repro.service.serve import MAX_DECODE_FAILURES
-
-    if SERVE_MAX_DECODE_FAILURES is not None:
-        return SERVE_MAX_DECODE_FAILURES
-    return MAX_DECODE_FAILURES
-
-
 def _serve_output_closed() -> None:
     """The consumer closed our output mid-run: stop serving cleanly.
 
@@ -944,10 +926,12 @@ def _serve_output_closed() -> None:
     print("output stream closed by consumer", file=sys.stderr)
 
 
-#: Test seam: called with the started ``HttpFrontEnd`` once ``serve
-#: --http`` is accepting connections (the CLI blocks in its event loop
-#: from then on; tests use this to learn the bound port and to request
-#: a stop from another thread).  ``None`` disables.
+#: Test seam: called with the started server once ``serve --http`` is
+#: accepting connections — the ``HttpFrontEnd`` of one process, or the
+#: ``ServeSupervisor`` of a fleet once every initial child is ready.
+#: The CLI blocks in its event loop from then on; tests use this to
+#: learn the bound port and to request a stop from another thread.
+#: ``None`` disables.
 SERVE_HTTP_STARTED: Optional[Callable] = None
 
 
@@ -976,168 +960,95 @@ def _parse_http_address(value: str) -> tuple[str, int]:
 
 
 def _serve_http(handler, args) -> int:
-    """The socket front-end: serve until SIGINT/SIGTERM, then drain."""
-    from repro.service.http import HttpFrontEnd
+    """The socket front-end: serve until SIGINT/SIGTERM, then drain.
 
+    One process runs one ``HttpFrontEnd``; ``--workers N`` or
+    ``--gateway`` runs the pre-fork ``ServeSupervisor`` with N ingress
+    children behind one port instead.  Both start, stop, drain and
+    report the same way.
+    """
     try:
         host, port = _parse_http_address(args.http)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    fleet = args.workers > 1 or args.gateway
 
     async def _run():
-        front = HttpFrontEnd(
-            handler, host, port, drain_timeout=args.http_drain_timeout
-        )
-        await front.start()
+        if fleet:
+            from repro.service.supervisor import ServeSupervisor
+
+            server = ServeSupervisor(
+                handler, host, port, workers=args.workers,
+                gateway=args.gateway, slice_lines=args.gateway_slice,
+                status_port=args.status_port,
+                drain_timeout=args.http_drain_timeout,
+            )
+            # A first SIGINT drains the fleet; a second one aborts it.
+            on_signal = {signal.SIGINT: server.interrupt,
+                         signal.SIGTERM: server.stop}
+        else:
+            from repro.service.http import HttpFrontEnd
+
+            server = HttpFrontEnd(
+                handler, host, port, drain_timeout=args.http_drain_timeout
+            )
+            on_signal = dict.fromkeys((signal.SIGINT, signal.SIGTERM),
+                                      server.stop)
+        await server.start()
         loop = asyncio.get_running_loop()
         hooked = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
+        for signum, callback in on_signal.items():
             try:
-                loop.add_signal_handler(signum, front.stop)
+                loop.add_signal_handler(signum, callback)
                 hooked.append(signum)
             except (NotImplementedError, ValueError, RuntimeError):
                 pass  # platform (or thread) without loop signal handlers
-        print(f"serving HTTP on {front.host}:{front.port}",
-              file=sys.stderr, flush=True)
+        banner = f"serving HTTP on {server.host}:{server.port}"
+        if fleet:
+            banner += f" with {server.workers} worker(s) ({server.mode})"
+        print(banner, file=sys.stderr, flush=True)
+        if fleet and not args.gateway:
+            print(f"supervisor status on {host}:{server.status_port}",
+                  file=sys.stderr, flush=True)
         if SERVE_HTTP_STARTED is not None:
-            SERVE_HTTP_STARTED(front)
+            SERVE_HTTP_STARTED(server)
         try:
-            await front.wait_stopped()
+            await server.wait_stopped()
         finally:
-            stats = await front.shutdown()
+            stats = await server.shutdown()
             for signum in hooked:
                 loop.remove_signal_handler(signum)
-        return stats
+        return server, stats
 
     try:
-        stats = asyncio.run(_run())
+        server, stats = asyncio.run(_run())
     except KeyboardInterrupt:
         # No loop signal handlers on this platform: the interrupt
         # aborted the loop; sinks flush per line, so output is whole.
         print("interrupted", file=sys.stderr)
         return 130
-    except OSError as exc:
+    except OSError as exc:  # a failed bind, or a fleet that never came up
         print(str(exc), file=sys.stderr)
         return 2
-    print(
-        f"served {stats.served} page(s) over {stats.requests} "
-        f"request(s) on {stats.connections} connection(s)",
-        file=sys.stderr,
-    )
+    print(f"served {stats.served} page(s) over {stats.requests} request(s) "
+          f"on {stats.connections} connection(s)", file=sys.stderr)
     if stats.drained_connections:
         # Mirrors repro_http_drained_connections_total, so the drain
         # log and a final /metrics scrape always agree.
-        print(
-            f"drained {stats.drained_connections} connection(s) "
-            "at shutdown",
-            file=sys.stderr,
-        )
+        print(f"drained {stats.drained_connections} connection(s) "
+              "at shutdown", file=sys.stderr)
     if stats.rate_limited or stats.shed:
-        print(
-            f"admission: {stats.rate_limited} rate-limited, "
-            f"{stats.shed} shed",
-            file=sys.stderr,
-        )
-    return 0
-
-
-#: Test seam: called with the started ``ServeSupervisor`` once every
-#: initial child is ready (ports are bound and published by then).
-#: ``None`` disables.
-SERVE_SUPERVISOR_STARTED: Optional[Callable] = None
-
-
-def _serve_multiworker(handler, args) -> int:
-    """The pre-fork supervisor: N ingress children behind one port."""
-    from repro.service.supervisor import ServeSupervisor
-
-    try:
-        host, port = _parse_http_address(args.http)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    async def _run():
-        supervisor = ServeSupervisor(
-            handler,
-            host,
-            port,
-            workers=args.workers,
-            gateway=args.gateway,
-            slice_lines=args.gateway_slice,
-            status_port=args.status_port,
-            drain_timeout=args.http_drain_timeout,
-        )
-        await supervisor.start()
-        loop = asyncio.get_running_loop()
-        hooked = []
-        try:
-            loop.add_signal_handler(
-                signal.SIGINT, supervisor.interrupt
-            )
-            hooked.append(signal.SIGINT)
-            loop.add_signal_handler(signal.SIGTERM, supervisor.stop)
-            hooked.append(signal.SIGTERM)
-        except (NotImplementedError, ValueError, RuntimeError):
-            pass  # platform (or thread) without loop signal handlers
-        print(
-            f"serving HTTP on {host}:{supervisor.port} with "
-            f"{supervisor.workers} worker(s) ({supervisor.mode})",
-            file=sys.stderr, flush=True,
-        )
-        if not args.gateway:
-            print(
-                f"supervisor status on {host}:{supervisor.status_port}",
-                file=sys.stderr, flush=True,
-            )
-        if SERVE_SUPERVISOR_STARTED is not None:
-            SERVE_SUPERVISOR_STARTED(supervisor)
-        try:
-            await supervisor.wait_stopped()
-        finally:
-            stats = await supervisor.shutdown()
-            for signum in hooked:
-                loop.remove_signal_handler(signum)
-        return stats, supervisor.failed
-
-    try:
-        stats, failed = asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
-    except (OSError, TimeoutError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(
-        f"served {stats.served} page(s) over {stats.requests} "
-        f"request(s) on {stats.connections} connection(s)",
-        file=sys.stderr,
-    )
-    if stats.drained_connections:
-        print(
-            f"drained {stats.drained_connections} connection(s) "
-            "at shutdown",
-            file=sys.stderr,
-        )
-    if stats.rate_limited or stats.shed:
-        print(
-            f"admission: {stats.rate_limited} rate-limited, "
-            f"{stats.shed} shed",
-            file=sys.stderr,
-        )
-    print(
-        f"workers: {stats.workers} worker(s), "
-        f"{stats.restarts} restart(s)",
-        file=sys.stderr,
-    )
+        print(f"admission: {stats.rate_limited} rate-limited, "
+              f"{stats.shed} shed", file=sys.stderr)
+    if not fleet:
+        return 0
+    print(f"workers: {stats.workers} worker(s), "
+          f"{stats.restarts} restart(s)", file=sys.stderr)
     if args.gateway:
-        print(
-            f"gateway: {stats.gateway_slices} slice(s), "
-            f"{stats.gateway_retries} retried",
-            file=sys.stderr,
-        )
-    if failed:
+        print(f"gateway: {stats.gateway_slices} slice(s), "
+              f"{stats.gateway_retries} retried", file=sys.stderr)
+    if server.failed:
         print("supervisor gave up: all workers crash-looping",
               file=sys.stderr)
         return 1
@@ -1145,19 +1056,19 @@ def _serve_multiworker(handler, args) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServeHandler, ServePolicy
+    from repro.service import ServeHandler, ServePolicy, serve
 
-    multiworker = args.workers > 1 or args.gateway
+    fleet = args.workers > 1 or args.gateway
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
     if args.gateway_slice < 1:
         print("--gateway-slice must be >= 1", file=sys.stderr)
         return 2
-    if multiworker and not args.http:
+    if fleet and not args.http:
         print("--workers/--gateway need --http", file=sys.stderr)
         return 2
-    if multiworker and args.adapt:
+    if fleet and args.adapt:
         # Each forked child would drift and refit independently — N
         # silently diverging artifacts behind one port.  Adaptation
         # stays a single-process concern; multi-worker serves a pinned
@@ -1165,68 +1076,44 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("--workers/--gateway and --adapt are mutually exclusive "
               "(per-child refits would diverge)", file=sys.stderr)
         return 2
-    try:
-        repository = RuleRepository.load(args.repository)
-    except RepositoryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    registry = None
-    reg_router = None
-    reg_version = None
-    if args.registry:
-        try:
-            registry, reg_repository, reg_router, reg_version = (
-                _registry_pinned_artifact(args)
-            )
-            if reg_repository is not None:
-                repository = reg_repository
-        except RegistryError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     if args.canary_fraction and not args.adapt:
         print("--canary-fraction needs --adapt (a canary shadows "
               "refit candidates)", file=sys.stderr)
         return 2
-    router = None
+    if args.max_inflight < 1:
+        print("--max-inflight must be >= 1", file=sys.stderr)
+        return 2
+    # Only the selected exemplar files are read (a name scan plus
+    # ``exemplars`` reads per cluster), not the whole directory.
+    deployment = _deploy(
+        args,
+        _page_paths(Path(args.exemplars_dir)) if args.exemplars_dir else None,
+    )
+    if deployment is None:
+        return 2
+    repository, router = deployment.repository, deployment.router
     cluster = args.cluster
-    if args.exemplars_dir:
-        # Only the selected exemplar files are read (a name scan plus
-        # ``exemplars`` reads per cluster), not the whole directory.
-        router = _fit_router_from_paths(
-            _page_paths(Path(args.exemplars_dir)),
-            repository, args.exemplars, args.threshold,
-        )
-        if router is None:
-            print(
-                "exemplar directory has no hint-labelled pages",
-                file=sys.stderr,
-            )
-            return 2
-    elif reg_router is not None:
-        # The pinned artifact ships its own fitted router.
-        router = reg_router
-    elif cluster:
-        if cluster not in repository.clusters():
-            print(
-                f"unknown cluster {cluster!r}; repository has: "
-                f"{', '.join(repository.clusters())}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
+    if router is None:
         clusters = repository.clusters()
-        if len(clusters) == 1:
-            cluster = clusters[0]
-        else:
+        if args.exemplars_dir:
+            print("exemplar directory has no hint-labelled pages",
+                  file=sys.stderr)
+            return 2
+        if not cluster and len(clusters) != 1:
             print(
                 "repository has several clusters: pass --cluster or "
                 "--exemplars-dir",
                 file=sys.stderr,
             )
             return 2
-    if args.max_inflight < 1:
-        print("--max-inflight must be >= 1", file=sys.stderr)
-        return 2
+        cluster = cluster or clusters[0]
+        if cluster not in clusters:
+            print(
+                f"unknown cluster {cluster!r}; repository has: "
+                f"{', '.join(clusters)}",
+                file=sys.stderr,
+            )
+            return 2
     adapter = None
     if args.adapt:
         adapter = _make_adapter(args, router)
@@ -1236,7 +1123,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # One policy object, every front-end: the stdin loop and the
         # HTTP ingress inherit the same caps and admission limits.
         policy = ServePolicy(
-            max_decode_failures=_serve_decode_failure_cap(),
+            max_decode_failures=serve.MAX_DECODE_FAILURES,
             max_inflight=args.max_inflight,
             rate_limit=args.rate_limit,
             rate_burst=args.rate_burst,
@@ -1251,47 +1138,39 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cluster=cluster or None,
         adapter=adapter,
         policy=policy,
-        # Compiled once, here; the supervisor's forked children inherit
-        # this handler (and the stamped pin) without recompiling.
-        artifact_version=reg_version,
+        # Compiled and stamped once, here: /healthz reports the
+        # version, and the supervisor's forked children inherit both.
+        artifact_version=deployment.version,
     )
-    try:
-        _attach_adapter_log(adapter, args)
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        if adapter is not None and (
-            registry is not None or args.canary_fraction > 0
-        ):
-            from repro.service import CanaryController, wrapper_extractor
+    deployer = None
+    if adapter is not None and (
+        deployment.registry is not None or args.canary_fraction > 0
+    ):
+        from repro.service import CanaryController, wrapper_extractor
 
+        try:
             deployer = CanaryController(
                 adapter.router,
                 repository,
-                registry=registry,
+                registry=deployment.registry,
                 fraction=args.canary_fraction,
                 window=args.canary_window,
                 low_margin=args.drift_margin,
                 extract=wrapper_extractor(handler.runtime),
-                log=adapter.log,
                 allow_findings=args.allow_findings,
             )
-            deployer.ensure_baseline()
-            adapter.deployer = deployer
-        elif registry is not None and registry.pinned() is None:
-            # Stamp the version before any front-end starts: /healthz
-            # reports it, and supervisor children inherit it.
-            handler.artifact_version = _publish_initial(
-                registry, repository, router,
-                allow_findings=args.allow_findings,
-            )
-    except LintGateError as exc:
-        _print_lint_refusal(exc)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+    if not deployment.seed(args.allow_findings):
         return 2
-    except (ValueError, RegistryError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    _attach_adapter_log(adapter, args)
+    if deployer is not None:
+        # The registry is pinned by now: the canary adopts the pin as
+        # its rollback target, and audits to the adapter's log.
+        deployer.log = adapter.log
+        deployer.ensure_baseline()
+        adapter.deployer = deployer
 
     def _report_drift() -> None:
         if adapter is not None:
@@ -1318,8 +1197,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # leave a complete, flushed adaptation log behind.  The metrics
     # dump rides the same guarantee.
     try:
-        if args.http and multiworker:
-            return _serve_multiworker(handler, args)
         if args.http:
             return _serve_http(handler, args)
         return _serve_stdin(handler, args)

@@ -15,7 +15,9 @@ Example:
     >>> doc = Document()
     >>> body = Element("BODY")
     >>> doc.append_child(body)
+    <Element BODY>
     >>> body.append_child(Text("hello"))
+    <Text 'hello'>
     >>> body.text_content()
     'hello'
 """

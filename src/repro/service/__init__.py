@@ -118,7 +118,6 @@ from repro.service.shard import (
     ShardPlanner,
     ShardStatus,
     ShardWorker,
-    SliceCheckpoint,
     XmlShardMerger,
     incomplete_shards,
     shard_statuses,
@@ -127,6 +126,7 @@ from repro.service.shard import (
 from repro.service.supervisor import (
     GatewayError,
     ServeSupervisor,
+    SliceCheckpoint,
     SupervisorStats,
     restart_backoff,
     slice_body,

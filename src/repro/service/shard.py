@@ -347,57 +347,6 @@ class ShardManifest:
         return cls.from_dict(data)
 
 
-@dataclass
-class SliceCheckpoint:
-    """In-memory manifest for one gateway batch slice.
-
-    The multi-worker gateway's re-run contract is this layer's
-    interrupted checkpoint scaled down to one request: a slice whose
-    worker died mid-stream is marked interrupted — its partial records
-    dropped, because a retried slice must never half-emit — and
-    re-posted elsewhere from the recorded payload.  Extraction is
-    deterministic per line, so the re-run reproduces the original
-    slice byte for byte and the merged stream stays identical to a
-    single-process ``batch`` run.
-    """
-
-    index: int
-    start_line: int
-    lines: int
-    #: The slice's raw request bytes: everything a re-run needs.
-    payload: bytes = b""
-    attempts: int = 0
-    interrupted: bool = False
-    records: list = field(default_factory=list)
-
-    def begin_attempt(self) -> int:
-        """Mark one (re-)run starting; returns the attempt ordinal."""
-        self.attempts += 1
-        self.interrupted = False
-        return self.attempts
-
-    def interrupt(self) -> None:
-        """The serving worker died mid-slice: drop partial output."""
-        self.records.clear()
-        self.interrupted = True
-
-    def complete(self, records) -> None:
-        """One full, ordered record set for the slice."""
-        self.records = list(records)
-        self.interrupted = False
-
-    def to_manifest_dict(self) -> dict:
-        """The checkpoint as a manifest-shaped JSON object (logs)."""
-        return {
-            "slice": self.index,
-            "start_line": self.start_line,
-            "lines": self.lines,
-            "attempts": self.attempts,
-            "interrupted": self.interrupted,
-            "records": len(self.records),
-        }
-
-
 def shard_basename(shard: int) -> str:
     """The canonical file stem for ``shard`` (``shard-0007``)."""
     return f"shard-{shard:04d}"

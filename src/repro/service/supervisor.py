@@ -23,7 +23,7 @@ Two modes, each of which wins one traffic shape:
   fixed-size line slices (:func:`slice_body`).  Slice outputs are
   buffered whole and streamed back in input order; a slice whose
   worker dies mid-response is re-run from its
-  :class:`~repro.service.shard.SliceCheckpoint` on another worker, so
+  :class:`SliceCheckpoint` on another worker, so
   the merged stream is byte-identical to a single-process ``batch``
   run even across a worker crash.
 
@@ -74,7 +74,6 @@ from repro.service.metrics import (
     merge_expositions,
     parse_exposition,
 )
-from repro.service.shard import SliceCheckpoint
 from repro.service.sink import make_error_record
 
 __all__ = [
@@ -82,6 +81,7 @@ __all__ = [
     "GatewayError",
     "MAX_CONSECUTIVE_FAILURES",
     "ServeSupervisor",
+    "SliceCheckpoint",
     "SupervisorStats",
     "restart_backoff",
     "slice_body",
@@ -135,6 +135,45 @@ def restart_backoff(failures: int) -> float:
         RESTART_BACKOFF_CAP,
         RESTART_BACKOFF_BASE * (2 ** max(0, failures - 1)),
     )
+
+
+@dataclasses.dataclass
+class SliceCheckpoint:
+    """In-memory manifest for one gateway batch slice.
+
+    The gateway's re-run contract is a shard's interrupted checkpoint
+    scaled down to one request: a slice whose worker died mid-stream
+    is marked interrupted — its partial records dropped, because a
+    retried slice must never half-emit — and re-posted elsewhere from
+    the recorded payload.  Extraction is deterministic per line, so
+    the re-run reproduces the original slice byte for byte and the
+    merged stream stays identical to a single-process ``batch`` run.
+    """
+
+    index: int
+    start_line: int
+    lines: int
+    #: The slice's raw request bytes: everything a re-run needs.
+    payload: bytes = b""
+    attempts: int = 0
+    interrupted: bool = False
+    records: list = dataclasses.field(default_factory=list)
+
+    def begin_attempt(self) -> int:
+        """Mark one (re-)run starting; returns the attempt ordinal."""
+        self.attempts += 1
+        self.interrupted = False
+        return self.attempts
+
+    def interrupt(self) -> None:
+        """The serving worker died mid-slice: drop partial output."""
+        self.records.clear()
+        self.interrupted = True
+
+    def complete(self, records) -> None:
+        """One full, ordered record set for the slice."""
+        self.records = list(records)
+        self.interrupted = False
 
 
 def slice_body(data: bytes, slice_lines: int) -> list[SliceCheckpoint]:

@@ -1,7 +1,9 @@
 """Tests for the retrozilla CLI (driven through main(argv))."""
 
+import contextlib
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -343,7 +345,7 @@ def test_serve_persistent_decode_failure_gives_up(served_site, capsys,
             raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad")
 
     monkeypatch.setattr("sys.stdin", BrokenStdin())
-    monkeypatch.setattr("repro.cli.SERVE_MAX_DECODE_FAILURES", 3)
+    monkeypatch.setattr("repro.service.serve.MAX_DECODE_FAILURES", 3)
     assert main([
         "serve", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
@@ -375,7 +377,7 @@ def test_serve_decode_failure_counter_is_consecutive(served_site, capsys,
         reads.append(UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"))
         reads.append(good + "\n")
     monkeypatch.setattr("sys.stdin", FlakyStdin(reads))
-    monkeypatch.setattr("repro.cli.SERVE_MAX_DECODE_FAILURES", 3)
+    monkeypatch.setattr("repro.service.serve.MAX_DECODE_FAILURES", 3)
     assert main([
         "serve", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
@@ -490,55 +492,64 @@ def test_serve_http_bind_failure_is_a_clean_error(served_site, capsys):
     assert "address" in capsys.readouterr().err.lower()
 
 
+@contextlib.contextmanager
+def _http_serving(argv, monkeypatch):
+    """Run ``main(argv)``, a ``serve --http``, on a thread.
+
+    Yields the started front-end once it listens; on exit stops it and
+    checks that the command drained and exited 0.
+    """
+    started, codes = [], []
+    monkeypatch.setattr("repro.cli.SERVE_HTTP_STARTED", started.append)
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    try:
+        deadline = time.time() + 30
+        while not started and thread.is_alive() and time.time() < deadline:
+            time.sleep(0.01)
+        assert started, "serve --http never came up"
+        yield started[0]
+    finally:
+        for front in started:
+            front.stop()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert codes == [0]
+
+
+def _roundtrip(port: int, request: bytes) -> tuple[bytes, bytes]:
+    """One ``Connection: close`` request: the response head and body."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        sock.settimeout(10)
+        response = b""
+        while data := sock.recv(65536):
+            response += data
+    head, _, payload = response.partition(b"\r\n\r\n")
+    return head, payload
+
+
 def test_serve_http_end_to_end(served_site, capsys, monkeypatch):
     # The full CLI path: serve --http binds, answers a real socket
     # request with the shared handler's record, drains on stop, and
     # reports the session like the stdin front-ends do.
-    import socket
-    import threading
-
     site_dir, repo_path = served_site
-    started = []
-    monkeypatch.setattr("repro.cli.SERVE_HTTP_STARTED", started.append)
-    codes = []
-    thread = threading.Thread(target=lambda: codes.append(main([
+    page = sorted(site_dir.glob("imdb-movies-*.html"))[0]
+    body = json.dumps({
+        "url": page.resolve().as_uri(),
+        "html": page.read_text(encoding="utf-8"),
+    }).encode("utf-8")
+    with _http_serving([
         "serve", "--repository", str(repo_path),
         "--cluster", "imdb-movies", "--http", "127.0.0.1:0",
-    ])))
-    thread.start()
-    try:
-        deadline = time.time() + 10
-        while not started and time.time() < deadline:
-            time.sleep(0.01)
-        assert started, "serve --http never came up"
-        front = started[0]
-        page = sorted(site_dir.glob("imdb-movies-*.html"))[0]
-        body = json.dumps({
-            "url": page.resolve().as_uri(),
-            "html": page.read_text(encoding="utf-8"),
-        }).encode("utf-8")
-        with socket.create_connection(
-            ("127.0.0.1", front.port), timeout=10
-        ) as sock:
-            sock.sendall(
-                b"POST /extract HTTP/1.1\r\nHost: t\r\n"
-                b"Connection: close\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(body) + body
-            )
-            sock.settimeout(10)
-            response = b""
-            while True:
-                data = sock.recv(65536)
-                if not data:
-                    break
-                response += data
-    finally:
-        for front in started:
-            front.stop()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert codes == [0]
-    head, _, payload = response.partition(b"\r\n\r\n")
+    ], monkeypatch) as front:
+        head, payload = _roundtrip(front.port, (
+            b"POST /extract HTTP/1.1\r\nHost: t\r\n"
+            b"Connection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body
+        ))
     assert head.startswith(b"HTTP/1.1 200 OK")
     record = json.loads(payload)
     assert record["cluster"] == "imdb-movies"
@@ -553,48 +564,19 @@ def test_serve_http_on_an_empty_registry_reports_its_pinned_version(
 ):
     # An empty registry gets the served artifact published and pinned
     # at start-up; /healthz must name that version, not null.
-    import socket
-    import threading
-
     from repro.service import ArtifactRegistry
 
     _, repo_path = served_site
     registry_dir = tmp_path / "registry"
     registry_dir.mkdir()
-    started = []
-    monkeypatch.setattr("repro.cli.SERVE_HTTP_STARTED", started.append)
-    codes = []
-    thread = threading.Thread(target=lambda: codes.append(main([
+    with _http_serving([
         "serve", "--repository", str(repo_path), "--cluster", "imdb-movies",
         "--registry", str(registry_dir), "--http", "127.0.0.1:0",
-    ])))
-    thread.start()
-    try:
-        deadline = time.time() + 10
-        while not started and time.time() < deadline:
-            time.sleep(0.01)
-        assert started, "serve --http never came up"
-        with socket.create_connection(
-            ("127.0.0.1", started[0].port), timeout=10
-        ) as sock:
-            sock.sendall(
-                b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
-                b"Connection: close\r\n\r\n"
-            )
-            sock.settimeout(10)
-            response = b""
-            while True:
-                data = sock.recv(65536)
-                if not data:
-                    break
-                response += data
-    finally:
-        for front in started:
-            front.stop()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert codes == [0]
-    head, _, payload = response.partition(b"\r\n\r\n")
+    ], monkeypatch) as front:
+        head, payload = _roundtrip(
+            front.port,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        )
     assert head.startswith(b"HTTP/1.1 200 OK")
     pinned = ArtifactRegistry(registry_dir).pinned()
     assert pinned is not None
@@ -840,7 +822,7 @@ def test_serve_sync_persistent_decode_failure_gives_up(served_site, capsys,
             raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad")
 
     monkeypatch.setattr("sys.stdin", BrokenStdin())
-    monkeypatch.setattr("repro.cli.SERVE_MAX_DECODE_FAILURES", 2)
+    monkeypatch.setattr("repro.service.serve.MAX_DECODE_FAILURES", 2)
     assert main([
         "serve", "--max-inflight", "1", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
@@ -1183,8 +1165,8 @@ def test_shard_resume_adapt_isolates_routers(served_site, tmp_path,
     captured = []
     original = cli._make_adapter
 
-    def capturing(args, router):
-        adapter = original(args, router)
+    def capturing(args, router, **kwargs):
+        adapter = original(args, router, **kwargs)
         captured.append(adapter)
         return adapter
 
@@ -1264,3 +1246,210 @@ def test_failed_adapt_command_leaves_previous_output_intact(
     ]) == 2
     assert out.read_text(encoding="utf-8") == '{"previous": "run"}\n'
     assert "no-such-dir" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------- #
+# One deployment rule: batch, shard and serve resolve one artifact
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def movies_pin(served_site, tmp_path):
+    """A registry pinned to movie and actor rules whose router was
+    fitted on imdb-movies pages only: an actor page is unroutable by
+    the pin, but routable by a router fitted from the site."""
+    from repro.core.builder import MappingRuleBuilder
+    from repro.core.oracle import ScriptedOracle
+    from repro.core.repository import RuleRepository
+    from repro.service import ArtifactRegistry, ClusterRouter
+    from repro.sites.imdb import generate_imdb_site
+
+    site_dir, repo_path = served_site
+    site = generate_imdb_site(n_movies=18, n_actors=6, n_search=3, seed=3)
+    repository = RuleRepository.load(repo_path)
+    MappingRuleBuilder(
+        site.pages_with_hint("imdb-actors")[:4], ScriptedOracle(),
+        repository=repository, cluster_name="imdb-actors", seed=1,
+    ).build_all(["actor-name"])
+    router = ClusterRouter.fit(
+        {"imdb-movies": site.pages_with_hint("imdb-movies")[:8]}
+    )
+    registry = ArtifactRegistry(tmp_path / "registry")
+    registry.pin(registry.publish(repository, router).version)
+    return site_dir, repo_path, tmp_path / "registry"
+
+
+def _request_line(path) -> str:
+    return json.dumps({
+        "url": path.resolve().as_uri(),
+        "html": path.read_text(encoding="utf-8"),
+    }) + "\n"
+
+
+def test_serve_pinned_router_beats_exemplars_dir(movies_pin, capsys,
+                                                 monkeypatch):
+    # The pin is the artifact, router included: --exemplars-dir fits a
+    # router only when the pinned version carries none.
+    site_dir, repo_path, registry_dir = movies_pin
+    actor = sorted(site_dir.glob("imdb-actors-*.html"))[0]
+    for extra in ([], ["--exemplars-dir", str(site_dir)]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(_request_line(actor)))
+        assert main([
+            "serve", "--repository", str(repo_path),
+            "--registry", str(registry_dir), *extra,
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["cluster"] == "unroutable"
+
+
+@pytest.mark.parametrize("command", ["serve", "batch", "shard run"])
+def test_a_pin_needs_no_repository_file(movies_pin, tmp_path, capsys,
+                                        monkeypatch, command):
+    site_dir, _, registry_dir = movies_pin
+    movie = sorted(site_dir.glob("imdb-movies-*.html"))[0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(_request_line(movie)))
+    plan = tmp_path / "plan.json"
+    assert main(["shard", "plan", str(site_dir), "--output", str(plan)]) == 0
+    argv = {
+        "serve": ["serve"],
+        "batch": ["batch", str(site_dir), "--workers", "1",
+                  "--jsonl", str(tmp_path / "out.jsonl")],
+        "shard run": ["shard", "run", str(site_dir), "--plan", str(plan),
+                      "--shard", "0", "--workers", "1",
+                      "--output-dir", str(tmp_path / "shards")],
+    }[command]
+    capsys.readouterr()
+    assert main([
+        *argv, "--registry", str(registry_dir),
+        "--repository", str(tmp_path / "absent.json"),
+    ]) == 0
+    assert "registry: using pinned version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", "{site}", "--route", "hint", "--adapt"],
+    ["shard", "run", "{site}", "--plan", "{plan}", "--shard", "0",
+     "--output-dir", "{out}", "--route", "hint", "--adapt"],
+    # Guard: serve has always refused before seeding.
+    ["serve", "--cluster", "imdb-movies", "--adapt"],
+], ids=["batch", "shard run", "serve"])
+def test_a_refused_command_publishes_nothing(served_site, tmp_path, capsys,
+                                             monkeypatch, argv):
+    from repro.service import ArtifactRegistry
+
+    site_dir, repo_path = served_site
+    plan = tmp_path / "plan.json"
+    assert main(["shard", "plan", str(site_dir), "--output", str(plan)]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    registry_dir = tmp_path / "registry"
+    argv = [
+        arg.format(site=site_dir, plan=plan, out=tmp_path / "shards")
+        for arg in argv
+    ]
+    assert main([
+        *argv, "--repository", str(repo_path),
+        "--registry", str(registry_dir),
+    ]) == 2
+    assert "fitted signature router" in capsys.readouterr().err
+    registry = ArtifactRegistry(registry_dir)
+    assert registry.pinned() is None
+    assert registry.version_ids() == []
+
+
+@pytest.mark.parametrize("command", ["batch", "serve"])
+def test_a_lint_refused_seed_keeps_the_previous_audit_log(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          command):
+    # The seed's lint gate is the last check; the --adapt-log file is
+    # only replaced after it, so a refused run leaves the log intact.
+    from repro.core.component import PageComponent
+    from repro.core.repository import RuleRepository
+    from repro.core.rule import MappingRule
+    from repro.service import ArtifactRegistry
+
+    repository = RuleRepository()
+    repository.record("c", MappingRule(
+        component=PageComponent("x"), locations=("BODY[1]/DIV[0]",),
+    ))  # RW101: a position no node can take
+    repository.save(tmp_path / "rules.json")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for index in range(3):
+        (corpus / f"c-{index:04d}.html").write_text(
+            f"<body><div>x {index}</div></body>", encoding="utf-8"
+        )
+    log_path = tmp_path / "audit.jsonl"
+    log_path.write_text('{"event": "drift"}\n', encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    argv = {
+        "batch": ["batch", str(corpus), "--workers", "1",
+                  "--jsonl", str(tmp_path / "out.jsonl")],
+        "serve": ["serve", "--exemplars-dir", str(corpus)],
+    }[command]
+    assert main([
+        *argv, "--repository", str(tmp_path / "rules.json"), "--adapt",
+        "--adapt-log", str(log_path), "--registry", str(tmp_path / "reg"),
+    ]) == 2
+    assert "RW101" in capsys.readouterr().err
+    assert log_path.read_text(encoding="utf-8") == '{"event": "drift"}\n'
+    assert ArtifactRegistry(tmp_path / "reg").version_ids() == []
+
+
+def test_a_refused_resume_publishes_nothing(served_site, tmp_path, capsys):
+    # Shard 0 ran without a registry; resuming shard 1 against an empty
+    # registry would deploy a new version, so resume refuses — before
+    # it publishes that version.
+    from repro.service import ArtifactRegistry
+
+    site_dir, repo_path = served_site
+    plan = tmp_path / "plan.json"
+    out_dir = tmp_path / "shards"
+    assert main(["shard", "plan", str(site_dir), "--shards", "2",
+                 "--output", str(plan)]) == 0
+    common = ["--plan", str(plan), "--repository", str(repo_path),
+              "--workers", "1", "--output-dir", str(out_dir)]
+    assert main(["shard", "run", str(site_dir), "--shard", "0",
+                 *common]) == 0
+    capsys.readouterr()
+    registry_dir = tmp_path / "registry"
+    assert main(["shard", "resume", str(site_dir), *common,
+                 "--registry", str(registry_dir)]) == 2
+    assert "re-pin the registry" in capsys.readouterr().err
+    assert ArtifactRegistry(registry_dir).version_ids() == []
+
+
+def test_batch_route_hint_ignores_a_pinned_router(movies_pin, tmp_path):
+    # Guard: --route hint trusts file-name hints whatever the pin holds.
+    site_dir, repo_path, registry_dir = movies_pin
+    clusters = {}
+    for route in ("auto", "hint"):
+        out = tmp_path / f"{route}.jsonl"
+        assert main([
+            "batch", str(site_dir), "--repository", str(repo_path),
+            "--registry", str(registry_dir), "--route", route,
+            "--workers", "1", "--jsonl", str(out),
+        ]) == 0
+        clusters[route] = {
+            json.loads(line)["cluster"]
+            for line in out.read_text(encoding="utf-8").splitlines()
+        }
+    assert "imdb-actors" not in clusters["auto"]
+    assert "imdb-actors" in clusters["hint"]
+
+
+@pytest.mark.parametrize("flags, consumer, expected", [
+    (["--threshold", "0.7"],
+     lambda front: front.handler.router.threshold, 0.7),
+    (["--http-drain-timeout", "2.5"], lambda front: front.drain_timeout, 2.5),
+    (["--rate-limit", "50", "--rate-burst", "7"],
+     lambda front: front.handler.policy.rate_burst, 7),
+    (["--max-concurrent", "3"],
+     lambda front: front.handler.policy.max_concurrent_requests, 3),
+], ids=["threshold", "http-drain-timeout", "rate-burst", "max-concurrent"])
+def test_serve_flags_reach_their_consumers(served_site, monkeypatch, flags,
+                                           consumer, expected):
+    site_dir, repo_path = served_site
+    with _http_serving([
+        "serve", "--repository", str(repo_path),
+        "--exemplars-dir", str(site_dir), "--http", "127.0.0.1:0", *flags,
+    ], monkeypatch) as front:
+        assert consumer(front) == expected

@@ -1,6 +1,7 @@
 """Documentation gates: links resolve, doctests run, metrics stay in sync."""
 
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from repro.analysis import LINT_SPECS, render_lint_table
 from repro.service import METRIC_SPECS, render_metrics_table
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 DOCS = [
     ROOT / "README.md",
     ROOT / "ROADMAP.md",
@@ -104,16 +106,37 @@ class TestLintDocSync:
         assert not missing, f"undocumented lint codes: {missing}"
 
 
-class TestOperationsRunbook:
-    def test_runbook_examples_execute(self):
-        # The runbook's Python examples are executable documentation;
-        # CI also runs this file under `python -m doctest` directly.
-        results = doctest.testfile(
-            str(ROOT / "docs" / "operations.md"), module_relative=False
-        )
-        assert results.attempted > 0
-        assert results.failed == 0
+#: Every package module with ``>>>`` examples, and the runbook.
+DOCTESTED = [
+    *sorted(
+        path for path in (SRC / "repro").rglob("*.py")
+        if ">>>" in path.read_text("utf-8")
+    ),
+    ROOT / "docs" / "operations.md",
+]
 
+
+def _module_name(path: Path) -> str:
+    name = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    return name.removesuffix(".__init__")
+
+
+@pytest.mark.parametrize(
+    "path", DOCTESTED, ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_examples_run_as_printed(path):
+    # Examples are executable documentation: each one must print
+    # exactly what it shows.  CI's docs job also runs the runbook
+    # under `python -m doctest` directly.
+    if path.suffix == ".md":
+        results = doctest.testfile(str(path), module_relative=False)
+        assert results.attempted > 0
+    else:
+        results = doctest.testmod(importlib.import_module(_module_name(path)))
+    assert results.failed == 0
+
+
+class TestOperationsRunbook:
     def test_runbook_covers_every_admission_status(self):
         text = (ROOT / "docs" / "operations.md").read_text("utf-8")
         for needle in ("429", "503", "Retry-After", "rate-limited",

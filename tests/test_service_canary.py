@@ -567,11 +567,13 @@ class TestOperatorSurfaces:
             for page in stream
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        log_path = tmp_path / "adapt.jsonl"
         assert main([
             "serve", "--repository", str(repo_path),
             "--registry", str(reg_dir),
             "--adapt", "--drift-window", "32",
             "--canary-fraction", "0.5", "--canary-window", "16",
+            "--adapt-log", str(log_path),
         ]) == 0
         err = capsys.readouterr().err
         assert f"registry: using pinned version {baseline.version}" in err
@@ -579,6 +581,12 @@ class TestOperatorSurfaces:
         assert "promotion(s)" in err
         assert "1 promotion(s), 0 rollback(s)" in err
         assert registry.pinned() != baseline.version
+        # The canary's verdicts land in the same audit log as the drift.
+        events = [
+            json.loads(line)["event"]
+            for line in log_path.read_text(encoding="utf-8").splitlines()
+        ]
+        assert "promote" in events
 
     def test_serve_cli_rejects_canary_without_adapt(
         self, depth_repository, tmp_path, capsys

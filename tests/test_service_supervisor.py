@@ -9,6 +9,7 @@ semantics — only exist across process boundaries.
 """
 
 import asyncio
+import contextlib
 import json
 import os
 import re
@@ -26,10 +27,10 @@ from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
 from repro.service.http import HttpFrontEnd
 from repro.service.serve import ServeHandler
-from repro.service.shard import SliceCheckpoint
 from repro.service.supervisor import (
     RESTART_BACKOFF_CAP,
     ServeSupervisor,
+    SliceCheckpoint,
     restart_backoff,
     slice_body,
 )
@@ -109,11 +110,8 @@ class TestSliceCheckpointLifecycle:
         assert checkpoint.payload == b"a\nb\nc\nd\n"
         assert checkpoint.begin_attempt() == 2
         checkpoint.complete([b"ra\n", b"rb\n"])
-        manifest = checkpoint.to_manifest_dict()
-        assert manifest == {
-            "slice": 2, "start_line": 8, "lines": 4,
-            "attempts": 2, "interrupted": False, "records": 2,
-        }
+        assert checkpoint.attempts == 2
+        assert not checkpoint.interrupted
 
 
 # --------------------------------------------------------------------- #
@@ -918,43 +916,29 @@ class TestSupervisorInProcess:
 
 
 class TestCliMultiworkerInProcess:
-    """``_serve_multiworker`` driven through ``main()`` in a thread."""
+    """``serve --http --workers`` driven through ``main()`` in a thread."""
 
-    def test_gateway_cli_end_to_end(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    @contextlib.contextmanager
+    def _fleet(argv, monkeypatch):
+        """Run ``main(argv)`` on a thread and yield the ready supervisor;
+        on exit stop it and check that the command exited 0."""
         from repro import cli
 
-        repository, repo_path, body = _build_corpus(
-            lambda: generate_imdb_site(n_movies=16, n_actors=0,
-                                       n_search=0, seed=7),
-            "imdb-movies", ["title", "rating", "genres"], tmp_path,
-        )
-        expected = _single_process_batch(repository, "imdb-movies", body)
         started = []
-        monkeypatch.setattr(cli, "SERVE_SUPERVISOR_STARTED",
-                            started.append)
+        monkeypatch.setattr(cli, "SERVE_HTTP_STARTED", started.append)
         outcome = {}
-
-        def drive():
-            outcome["rc"] = cli.main([
-                "serve", "--repository", str(repo_path),
-                "--cluster", "imdb-movies", "--http", "127.0.0.1:0",
-                "--workers", "2", "--gateway", "--gateway-slice", "3",
-            ])
-
-        thread = threading.Thread(target=drive)
+        thread = threading.Thread(
+            target=lambda: outcome.update(rc=cli.main(argv))
+        )
         thread.start()
         try:
             deadline = time.time() + 60
             while not started and time.time() < deadline:
                 time.sleep(0.05)
             assert started, "supervisor never became ready"
-            supervisor = started[0]
-            status, _, payload = _request(
-                supervisor.port, _batch_request(body)
-            )
-            assert status == 200
-            assert payload == expected
-            supervisor.stop()
+            yield started[0]
+            started[0].stop()
             thread.join(60)
             assert not thread.is_alive()
         finally:
@@ -962,7 +946,49 @@ class TestCliMultiworkerInProcess:
                 started and started[0].interrupt()
                 thread.join(10)
         assert outcome["rc"] == 0
+
+    def test_gateway_cli_end_to_end(self, tmp_path, monkeypatch, capsys):
+        repository, repo_path, body = _build_corpus(
+            lambda: generate_imdb_site(n_movies=16, n_actors=0,
+                                       n_search=0, seed=7),
+            "imdb-movies", ["title", "rating", "genres"], tmp_path,
+        )
+        expected = _single_process_batch(repository, "imdb-movies", body)
+        with self._fleet([
+            "serve", "--repository", str(repo_path),
+            "--cluster", "imdb-movies", "--http", "127.0.0.1:0",
+            "--workers", "2", "--gateway", "--gateway-slice", "3",
+        ], monkeypatch) as supervisor:
+            status, _, payload = _request(
+                supervisor.port, _batch_request(body)
+            )
+            assert status == 200
+            assert payload == expected
         err = capsys.readouterr().err
         assert "2 worker(s) (gateway)" in err
         assert "workers: 2 worker(s), 0 restart(s)" in err
         assert re.search(r"gateway: [1-9]\d* slice\(s\), 0 retried", err)
+
+    def test_status_port_reaches_a_shared_port_fleet(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _, repo_path, _ = _build_corpus(
+            lambda: generate_imdb_site(n_movies=8, n_actors=0,
+                                       n_search=0, seed=7),
+            "imdb-movies", ["title"], tmp_path,
+        )
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            status_port = probe.getsockname()[1]
+        with self._fleet([
+            "serve", "--repository", str(repo_path),
+            "--cluster", "imdb-movies", "--http", "127.0.0.1:0",
+            "--workers", "2", "--status-port", str(status_port),
+        ], monkeypatch) as supervisor:
+            assert supervisor.status_port == status_port
+            status, _, payload = _request(status_port, _GET_HEALTHZ)
+            assert status == 200
+            assert json.loads(payload)["workers"] == 2
+        err = capsys.readouterr().err
+        assert f"supervisor status on 127.0.0.1:{status_port}" in err
+        assert "2 worker(s) (reuseport)" in err
