@@ -4,15 +4,19 @@ Measures requests/second (one page per request line) over a paced
 client for the two ``serve`` front-ends:
 
 * the asyncio stdin front-end;
-* the HTTP front-end (``serve --http``): one keep-alive connection,
-  one ``POST /batch`` whose NDJSON body arrives at the paced rate
-  while the chunked NDJSON response streams back concurrently —
-  the socket twin of the paced-stdin scenario.
+* the HTTP front-end (``serve --http``): one connection, one
+  ``POST /batch`` whose NDJSON body arrives at the paced rate while
+  the chunked NDJSON response streams back concurrently — the socket
+  twin of the paced-stdin scenario.
 
 Pacing models a real upstream feed (:data:`PRODUCER_LATENCY` per
 line): the front-ends win exactly by overlapping that production
 latency with extraction, and the HTTP layer must not squander the win
-on framing.
+on framing.  On both sides the producer runs on a thread of its own,
+off the server's event loop: the stdin loop's reader thread reads a
+:class:`_PacedStdin`, and the HTTP client is a blocking socket on its
+own thread that sleeps as long per line and then reads the chunked
+response.
 
 The two front-ends alternate over :data:`ROUNDS` rounds, each going
 first equally often, and each is scored by its best pass, so the ratio
@@ -32,6 +36,7 @@ supervisor is gated against (``bench_multiworker_serve`` asserts the
 import asyncio
 import io
 import json
+import socket
 import time
 
 from repro.core.builder import MappingRuleBuilder
@@ -98,41 +103,50 @@ def _async_stdin_seconds(handler, lines: list[str]) -> float:
     return elapsed
 
 
-async def _paced_batch_round(handler, lines: list[str]) -> float:
-    """One paced client, one keep-alive ``POST /batch``, full drain."""
-    front = HttpFrontEnd(handler, "127.0.0.1", 0, max_inflight=8)
-    await front.start()
-    reader, writer = await asyncio.open_connection("127.0.0.1", front.port)
+def _paced_client(port: int, lines: list[str]) -> tuple[float, int]:
+    """One paced ``POST /batch`` over a blocking socket, full drain.
+
+    Sends the head, then one line per :data:`PRODUCER_LATENCY` as
+    :class:`_PacedStdin` yields them, then reads the chunked response
+    (which the kernel's receive buffer holds meanwhile).  Returns the
+    seconds from the first byte sent to the last chunk read, and the
+    records received.
+    """
     payload = [(line + "\n").encode("utf-8") for line in lines]
     total_bytes = sum(len(data) for data in payload)
-    started = time.perf_counter()
-    writer.write((
-        f"POST /batch HTTP/1.1\r\nHost: bench\r\n"
-        f"Connection: close\r\nContent-Length: {total_bytes}\r\n\r\n"
-    ).encode("latin-1"))
-
-    async def _produce() -> None:
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        started = time.perf_counter()
+        sock.sendall((
+            f"POST /batch HTTP/1.1\r\nHost: bench\r\n"
+            f"Connection: close\r\nContent-Length: {total_bytes}\r\n\r\n"
+        ).encode("latin-1"))
         for data in payload:
-            await asyncio.sleep(PRODUCER_LATENCY)  # the paced upstream
-            writer.write(data)
-            await writer.drain()
-
-    async def _consume() -> int:
-        head = await reader.readuntil(b"\r\n\r\n")
+            time.sleep(PRODUCER_LATENCY)  # the paced upstream
+            sock.sendall(data)
+        response = sock.makefile("rb")
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            head += response.readline()
         assert head.startswith(b"HTTP/1.1 200"), head
         records = 0
         while True:
-            size = int((await reader.readline()).strip(), 16)
+            size = int(response.readline().strip(), 16)
             if size == 0:
-                await reader.readline()
-                return records
-            body = await reader.readexactly(size)
-            await reader.readexactly(2)
-            records += body.count(b"\n")
+                response.readline()
+                break
+            records += response.read(size).count(b"\n")
+            response.read(2)
+        elapsed = time.perf_counter() - started
+    return elapsed, records
 
-    _, records = await asyncio.gather(_produce(), _consume())
-    elapsed = time.perf_counter() - started
-    writer.close()
+
+async def _paced_batch_round(handler, lines: list[str]) -> float:
+    """One paced client thread against a started HTTP front-end."""
+    front = HttpFrontEnd(handler, "127.0.0.1", 0, max_inflight=8)
+    await front.start()
+    elapsed, records = await asyncio.to_thread(
+        _paced_client, front.port, lines
+    )
     stats = await front.shutdown()
     assert records == len(lines)
     assert stats.served == len(lines)

@@ -44,10 +44,6 @@ class ComponentValue:
     text: str
     nodes: tuple[Node, ...]
 
-    @property
-    def first_node(self) -> Node:
-        return self.nodes[0]
-
     def as_xml(self) -> str:
         """XML serialisation of the value, preserving inline markup.
 

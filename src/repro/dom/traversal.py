@@ -14,7 +14,7 @@ site's pages by "close HTML structure"):
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.dom.node import Document, Element, Node, Text
 
@@ -149,11 +149,3 @@ def depth_of(node: Node) -> int:
     """Number of ancestors of ``node``."""
     return sum(1 for _ in node.ancestors())
 
-
-def map_tree(
-    root: Node,
-    visit: Callable[[Node], None],
-) -> None:
-    """Apply ``visit`` to every node in document order (utility)."""
-    for node in root.self_and_descendants():
-        visit(node)

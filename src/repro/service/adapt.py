@@ -409,13 +409,52 @@ class AdaptiveRouter:
         """Route one page, feeding the decision into drift detection."""
         signature = self.router.signature(page)
         decision = self.router.route_signature(signature)
+        self.observe(signature, decision, page)
+        return decision
+
+    def observe(
+        self,
+        signature: PageSignature,
+        decision: RouteDecision,
+        page: Optional[WebPage] = None,
+    ) -> None:
+        """Feed one routing decision into drift detection.
+
+        :meth:`route` calls this for the page it scored; the streaming
+        runtime's ``run()`` scores pages with the plain :attr:`router`
+        in its workers and calls this in the parent, in stream order.
+        ``page`` is needed only by an attached ``deployer``, for its
+        shadow extraction.
+        """
         with self._lock:
-            self._observe_decision(signature, decision)
+            if decision.cluster == UNROUTABLE:
+                self.unroutable_pages += 1
+                self._unroutable.append(signature)
+                event = self.monitor.observe(UNROUTABLE, True)
+            else:
+                self.routed_pages += 1
+                reservoir = self._reservoirs.get(decision.cluster)
+                if reservoir is None:
+                    reservoir = self._reservoirs[decision.cluster] = deque(
+                        maxlen=self.reservoir
+                    )
+                reservoir.append(signature)
+                event = self.monitor.observe(UNROUTABLE, False)
+                if event is None and self.low_margin > 0.0:
+                    # Margin observations live in their own window:
+                    # mixing them into the cluster's extraction-failure
+                    # window would cap either signal's rate at 0.5 and
+                    # mask drift.
+                    event = self.monitor.observe(
+                        margin_key(decision.cluster),
+                        decision.margin < self.low_margin,
+                    )
+            if event is not None:
+                self._refit(event)
         deployer = self.deployer
         if deployer is not None:
             # Outside the adapter lock: the canary takes only its own.
             deployer.observe(page, signature, decision)
-        return decision
 
     def target(self, page: WebPage) -> Optional[str]:
         """The routed cluster name, or ``None`` when unroutable."""
@@ -460,33 +499,6 @@ class AdaptiveRouter:
             deployer.note_result(cluster, failed)
 
     # -- internals ------------------------------------------------------ #
-
-    def _observe_decision(
-        self, signature: PageSignature, decision: RouteDecision
-    ) -> None:
-        if decision.cluster == UNROUTABLE:
-            self.unroutable_pages += 1
-            self._unroutable.append(signature)
-            event = self.monitor.observe(UNROUTABLE, True)
-        else:
-            self.routed_pages += 1
-            reservoir = self._reservoirs.get(decision.cluster)
-            if reservoir is None:
-                reservoir = self._reservoirs[decision.cluster] = deque(
-                    maxlen=self.reservoir
-                )
-            reservoir.append(signature)
-            event = self.monitor.observe(UNROUTABLE, False)
-            if event is None and self.low_margin > 0.0:
-                # Margin observations live in their own window: mixing
-                # them into the cluster's extraction-failure window
-                # would cap either signal's rate at 0.5 and mask drift.
-                event = self.monitor.observe(
-                    margin_key(decision.cluster),
-                    decision.margin < self.low_margin,
-                )
-        if event is not None:
-            self._refit(event)
 
     def _spawn_name(self) -> str:
         existing = set(self.router.clusters())

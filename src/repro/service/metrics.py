@@ -37,7 +37,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "AdmissionController",
@@ -112,6 +112,18 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
         "repro_pages_failed_total", "counter", ("cluster",),
         "Pages whose extraction raised in serve (answered with an "
         "error record).",
+    ),
+    MetricSpec(
+        "repro_parse_seconds", "histogram", (),
+        "HTML parse latency per page, timed where the page is parsed "
+        "(seconds).",
+        buckets=FINE_BUCKETS,
+    ),
+    MetricSpec(
+        "repro_signature_seconds", "histogram", (),
+        "Routing-signature latency per page, the part of "
+        "repro_route_seconds before scoring (seconds).",
+        buckets=FINE_BUCKETS,
     ),
     MetricSpec(
         "repro_route_seconds", "histogram", (),
@@ -396,6 +408,10 @@ class MetricFamily:
             # series still renders (operators see an explicit 0, and
             # the docs sync test sees the series exists).
             self._children[()] = self._make_child()
+        #: The label-less child the convenience methods below use
+        #: without a ``labels()`` call (``None`` when labels are due,
+        #: so those methods raise through ``labels()``).
+        self._default = self._children.get(())
 
     def _make_child(self):
         if self.spec.kind == "histogram":
@@ -422,24 +438,24 @@ class MetricFamily:
 
     def inc(self, amount: float = 1.0) -> None:
         """``inc`` on the label-less child (counters and gauges)."""
-        self.labels().inc(amount)
+        (self._default or self.labels()).inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
         """``dec`` on the label-less child (gauges)."""
-        self.labels().dec(amount)
+        (self._default or self.labels()).dec(amount)
 
     def set(self, value: float) -> None:
         """``set`` on the label-less child (gauges)."""
-        self.labels().set(value)
+        (self._default or self.labels()).set(value)
 
     def observe(self, value: float) -> None:
         """``observe`` on the label-less child (histograms)."""
-        self.labels().observe(value)
+        (self._default or self.labels()).observe(value)
 
     @property
     def value(self) -> float:
         """The label-less child's current value."""
-        return self.labels().value
+        return (self._default or self.labels()).value
 
     def render(self) -> list[str]:
         """This family's exposition lines (HELP, TYPE, every sample)."""
@@ -1082,16 +1098,3 @@ def merge_expositions(texts: Sequence[str]) -> str:
             lines.append(f"{series} {_format_value(merged[base][series])}")
     return "\n".join(lines) + "\n" if lines else ""
 
-
-def documented_names(table: str) -> list[str]:
-    """Metric names found in a ``docs/metrics.md``-style table."""
-    names = []
-    for line in table.splitlines():
-        if line.startswith("| `repro_"):
-            names.append(line.split("`")[1])
-    return names
-
-
-def iter_specs() -> Iterable[MetricSpec]:
-    """Every declared series spec (the docs sync test's anchor)."""
-    return METRIC_SPECS

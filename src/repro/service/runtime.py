@@ -1,13 +1,16 @@
 """The streaming extraction runtime every entry point shares.
 
 ``batch``, ``shard run`` and ``serve`` are one pipeline wearing three
-front-ends: pages come from somewhere (:class:`PageSource`), are routed
-to a cluster, extracted by a compiled wrapper, post-processed, stamped
-with their global submission index, and written into a
-:class:`~repro.service.sink.ResultSink`.  One route step
-(:meth:`StreamingRuntime._route`) and one per-page outcome step
-(:meth:`StreamingRuntime._finish`: post-processing, metrics, drift
-feedback, the record) serve both ways in:
+front-ends: pages come from somewhere (:class:`PageSource`), are
+parsed, routed to a cluster, extracted by a compiled wrapper,
+post-processed, stamped with their global submission index, and
+written into a :class:`~repro.service.sink.ResultSink`.  One per-page
+step (:func:`_route_and_extract`: parse, signature, route scoring,
+extraction) runs wherever the page is, and two parent-side steps
+account its outcome (:meth:`StreamingRuntime._note_route`: the route
+timers, drift observation and routed/unroutable/skipped counts;
+:meth:`StreamingRuntime._finish`: post-processing, metrics, drift
+feedback, the record).  Both ways in share them:
 
 * :meth:`StreamingRuntime.run` streams a source through chunks.
   ``batch`` runs it over a :class:`LoadingPageSource` of the
@@ -16,32 +19,39 @@ feedback, the record) serve both ways in:
   ``ShardWorker`` (:mod:`repro.service.shard`) runs it over a
   :class:`LoadingPageSource` carrying the plan's *global* indices, so
   shard outputs merge byte-identically into the unsharded stream.  An
-  extraction exception ends the run;
+  extraction exception ends the run when its chunk drains;
 * :meth:`StreamingRuntime.process_page` turns one page into one
   record, an error payload, or nothing.  ``serve``
   (:mod:`repro.service.serve`) calls it per request, under the
   ``asyncio`` stdin front-end or the HTTP ingress.
 
-``run()`` cuts the routed stream into contiguous chunks of
-``(index, cluster, page)`` and drains them first in, first out, so
-records reach the sink in submission order whatever the executor —
-the property that makes sharded runs mergeable.  ``workers`` picks the
-executor: 1 runs chunks on the calling thread, N > 1 on an N-process
-pool; each chunk reaches its worker pickled as ``(index, cluster, url,
-html)`` tuples, and the worker re-parses the HTML.
+``run()`` only reads pages: it cuts the stream into contiguous chunks
+and drains them first in, first out, so records reach the sink in
+submission order whatever the executor — the property that makes
+sharded runs mergeable.  ``workers`` picks the executor: 1 runs each
+chunk on the calling thread and drains it at once, N > 1 on an
+N-process pool whose workers each hold the router and the compiled
+wrappers; a process chunk carries ``(index, url, html, hint)`` per
+page, and its worker parses every page exactly once.  The parent
+accounts each page's routing and extraction as its chunk drains.  An
+adaptive run's refit swaps the router's profiles while a chunk
+drains; every chunk submitted after that drain carries the new
+generation, pickled once, and no chunk submitted before it sees it.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
     Iterable,
     Iterator,
+    NamedTuple,
     Optional,
     Protocol,
     Tuple,
@@ -49,11 +59,12 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.clustering.features import PageSignature
 from repro.core.repository import RuleRepository
 from repro.extraction.postprocess import PostProcessor
 from repro.service.compiler import CompiledWrapper, CompilerStats
 from repro.service.metrics import default_registry
-from repro.service.router import ClusterRouter
+from repro.service.router import ClusterRouter, RouteDecision
 from repro.service.sink import (
     CollectingSink,
     NullSink,
@@ -68,13 +79,36 @@ from repro.sites.page import WebPage
 #: skipped files leave gaps).
 SourceItem = Tuple[int, WebPage]
 
-#: A chunk entry as ``run()`` builds it: (global index, cluster, page).
-ChunkItem = Tuple[int, str, WebPage]
+#: What a process chunk carries per page: (global index, url, html,
+#: cluster hint) — all the chunk step needs of a page, pickled.
+ShippedPage = Tuple[int, str, str, str]
 
-#: A worker's outcome for one page: (global index, cluster, url,
-#: values, failures, extraction seconds).  Values are the wrapper's
-#: raw texts; post-processing happens in the outcome step.
-_Outcome = tuple[int, str, str, dict, list, float]
+
+class _Outcome(NamedTuple):
+    """One page through :func:`_route_and_extract`.
+
+    ``cluster`` is ``None`` for an unroutable page.  ``values`` is
+    ``None`` when nothing was extracted: the cluster has no wrapper,
+    or extraction raised (``error``).  Values are the wrapper's raw
+    texts; post-processing happens in the parent.  Each ``*_seconds``
+    times that layer for this page alone; a layer the page did not
+    need is ``None`` (routing is always timed).  ``decision`` and
+    ``signature`` are kept only for an adaptive runtime, whose adapter
+    observes them in the parent.
+    """
+
+    index: int
+    url: str
+    cluster: Optional[str]
+    values: Optional[dict]
+    failures: list
+    error: Optional[Exception]
+    parse_seconds: Optional[float]
+    signature_seconds: Optional[float]
+    route_seconds: float
+    extract_seconds: Optional[float]
+    decision: Optional[RouteDecision]
+    signature: Optional[PageSignature]
 
 
 @runtime_checkable
@@ -205,11 +239,6 @@ class OrderedEmitter:
         """Records currently buffered awaiting their turn."""
         return len(self._held)
 
-    @property
-    def next_seq(self) -> int:
-        """The sequence number blocking release (first not yet emitted)."""
-        return self._next
-
 
 # --------------------------------------------------------------------- #
 # Reporting
@@ -321,59 +350,135 @@ class RuntimeReport:
 
 
 # --------------------------------------------------------------------- #
-# Extraction workers (shared by every executor kind)
+# The per-page step and the workers that run it
 # --------------------------------------------------------------------- #
+
+
+def _route_and_extract(
+    router: Optional[ClusterRouter],
+    wrappers: Dict[str, CompiledWrapper],
+    page: WebPage,
+    index: int = -1,
+    observed: bool = False,
+) -> _Outcome:
+    """Parse, route and extract one page: the step every path runs.
+
+    The page is parsed once, under its own timer, when the router
+    needs its DOM or a wrapper will extract it; routing by hint needs
+    neither a parse nor a signature.  ``router`` is a plain
+    :class:`~repro.service.router.ClusterRouter` (an adapter's is
+    passed here and observes in the parent), so the step holds no
+    lock and pickles nothing.  An extraction exception is returned in
+    the outcome: ``run()`` re-raises it at drain, ``process_page``
+    answers it with an error record.  ``observed`` keeps the decision
+    and signature for an adapter.
+    """
+    parse_seconds = signature_seconds = extract_seconds = None
+    started = time.perf_counter()
+    if router is not None or page.cluster_hint in wrappers:
+        page.document
+        parsed = time.perf_counter()
+        parse_seconds = parsed - started
+        started = parsed
+    decision = signature = None
+    if router is None:
+        cluster = page.cluster_hint or None
+    else:
+        signature = router.signature(page)
+        signature_seconds = time.perf_counter() - started
+        decision = router.route_signature(signature)
+        cluster = decision.cluster if decision.routed else None
+    routed = time.perf_counter()
+    route_seconds = routed - started
+    values = error = None
+    failures: list = []
+    wrapper = wrappers.get(cluster) if cluster is not None else None
+    if wrapper is not None:
+        found: list = []
+        try:
+            values = wrapper.extract_page(page, found).values
+        except Exception as exc:
+            error = exc
+        extract_seconds = time.perf_counter() - routed
+        failures = [(f.component_name, f.reason) for f in found]
+    if not observed:
+        decision = signature = None
+    return _Outcome(
+        index, page.url, cluster, values, failures, error, parse_seconds,
+        signature_seconds, route_seconds, extract_seconds, decision,
+        signature,
+    )
+
+
+class _ChunkWorker:
+    """What one executor worker routes and extracts with.
+
+    The inline executor holds one on the calling thread; every process
+    worker builds its own in the pool initializer.  ``generation`` is
+    the router generation it routes with: a chunk may carry
+    ``(generation, pickled router)`` after an adaptive refit, and the
+    worker loads each generation once.
+    """
+
+    def __init__(
+        self,
+        router: Optional[ClusterRouter],
+        wrappers: Dict[str, CompiledWrapper],
+        observed: bool,
+    ) -> None:
+        self.router = router
+        self.wrappers = wrappers
+        self.observed = observed
+        self.generation = 0
+
+    def run_chunk(
+        self,
+        items: list[SourceItem],
+        generation: Optional[tuple[int, bytes]] = None,
+    ) -> list[_Outcome]:
+        """The chunk step: every page of ``items``, in order."""
+        if generation is not None and generation[0] != self.generation:
+            self.generation = generation[0]
+            self.router = pickle.loads(generation[1])
+        return [
+            _route_and_extract(
+                self.router, self.wrappers, page, index, self.observed
+            )
+            for index, page in items
+        ]
+
 
 # Compiled wrappers hold DOM-walking closures, so each process worker
 # compiles every cluster's wrapper once, at start-up, from the
-# repository's plain-dict form.  A chunk reaches it pickled as
-# ``(index, cluster, url, html)`` tuples (the parent's parsed DOM stays
-# behind), and the worker re-parses the HTML.
+# repository's plain-dict form; the router travels as it is (inherited
+# under fork, pickled under spawn-style start methods).
 # Post-processing always runs in the parent, in the outcome step
 # (transform chains may be arbitrary closures).
 
-_WORKER_WRAPPERS: Dict[str, CompiledWrapper] = {}
+_WORKER: Optional[_ChunkWorker] = None
 
 
-def _init_process_worker(repository_data: dict) -> None:
-    global _WORKER_WRAPPERS
-    _WORKER_WRAPPERS = RuleRepository.from_dict(repository_data).compile_all()
-
-
-def _process_chunk(payload: list[tuple[int, str, str, str]]) -> list[_Outcome]:
-    return _extract_chunk(
-        _WORKER_WRAPPERS,
-        [
-            (index, cluster, WebPage(url=url, html=html))
-            for index, cluster, url, html in payload
-        ],
+def _init_process_worker(
+    router: Optional[ClusterRouter], repository_data: dict, observed: bool
+) -> None:
+    global _WORKER
+    _WORKER = _ChunkWorker(
+        router, RuleRepository.from_dict(repository_data).compile_all(),
+        observed,
     )
 
 
-def _extract_one(
-    wrapper: CompiledWrapper, index: int, cluster: str, page: WebPage
-) -> _Outcome:
-    failures: list = []
-    started = time.perf_counter()
-    extracted = wrapper.extract_page(page, failures)
-    seconds = time.perf_counter() - started
-    return (
-        index,
-        cluster,
-        page.url,
-        extracted.values,
-        [(f.component_name, f.reason) for f in failures],
-        seconds,
-    )
-
-
-def _extract_chunk(
-    wrappers: Dict[str, CompiledWrapper], items: list[ChunkItem]
+def _process_chunk(
+    shipped: list[ShippedPage],
+    generation: Optional[tuple[int, bytes]] = None,
 ) -> list[_Outcome]:
-    return [
-        _extract_one(wrappers[cluster], index, cluster, page)
-        for index, cluster, page in items
-    ]
+    return _WORKER.run_chunk(
+        [
+            (index, WebPage(url=url, html=html, cluster_hint=hint))
+            for index, url, html, hint in shipped
+        ],
+        generation,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -381,37 +486,65 @@ def _extract_chunk(
 # --------------------------------------------------------------------- #
 
 
-class _ImmediateFuture:
-    """A completed future: the inline executor runs work at submit."""
-
-    def __init__(self, fn: Callable, args: tuple) -> None:
-        self._value = None
-        self._error: Optional[BaseException] = None
-        try:
-            self._value = fn(*args)
-        except BaseException as exc:  # re-raised at drain, like a pool
-            self._error = exc
-
-    def result(self):
-        """The chunk's outcome (re-raises the worker's exception)."""
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 class _InlineExecutor:
     """Chunk execution on the calling thread — no pool, no handoff."""
 
-    def submit(self, fn: Callable, *args) -> _ImmediateFuture:
-        """Run ``fn`` immediately; returns the completed future."""
-        return _ImmediateFuture(fn, args)
+    def __init__(self, worker: _ChunkWorker) -> None:
+        self.worker = worker
+
+    def submit_chunk(
+        self, items: list[SourceItem], generation: Optional[tuple]
+    ) -> Future:
+        """Run the chunk step now; returns the completed future."""
+        future: Future = Future()
+        future.set_result(self.worker.run_chunk(items, generation))
+        return future
 
     def shutdown(self, wait: bool = True) -> None:
         """Nothing to release (signature parity with real pools)."""
         pass
 
 
+class _ProcessExecutor(ProcessPoolExecutor):
+    """An N-process pool; each worker runs the chunk step on its own."""
+
+    def submit_chunk(
+        self, items: list[SourceItem], generation: Optional[tuple]
+    ) -> Future:
+        """Queue the chunk step for the next free worker.
+
+        Only what the step reads of each page crosses: a parsed DOM,
+        a memoized signature or ground truth stays in the parent.
+        """
+        return self.submit(
+            _process_chunk,
+            [
+                (index, page.url, page.html, page.cluster_hint)
+                for index, page in items
+            ],
+            generation,
+        )
+
+
 EXECUTOR_KINDS = ("inline", "process")
+
+
+class _ByCluster(dict):
+    """A cluster-labelled family's children, each resolved once.
+
+    ``labels(cluster)`` checks the arity and builds a key on every
+    call; holding the child makes a per-page count or observation one
+    dict lookup.  A child still appears in the exposition only once
+    first used.
+    """
+
+    def __init__(self, family) -> None:
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, cluster: str):
+        child = self[cluster] = self.family.labels(cluster)
+        return child
 
 
 # --------------------------------------------------------------------- #
@@ -420,7 +553,7 @@ EXECUTOR_KINDS = ("inline", "process")
 
 
 class StreamingRuntime:
-    """Compose route → extract → post-process → emit over a page source.
+    """Compose parse → route → extract → post-process → emit over a source.
 
     Args:
         repository: validated rules (Section 3.5) for every served
@@ -432,9 +565,10 @@ class StreamingRuntime:
             step, whatever the executor.
         workers: 1 runs chunks inline on the calling thread; N > 1 on
             an N-process pool (real parallelism on multi-core hosts;
-            each chunk's pages travel pickled).  At most
-            ``4 * workers`` chunks are in flight — the memory bound for
-            arbitrarily long streams.
+            each chunk's pages travel pickled and are parsed, routed
+            and extracted in the worker).  At most ``4 * workers``
+            chunks are in flight — the memory bound for arbitrarily
+            long streams; an inline chunk drains as soon as it ran.
         executor: ``None`` (derive it from ``workers``), or
             ``"inline"``/``"process"`` to force one.
         chunk_size: pages per submitted work item.
@@ -442,14 +576,18 @@ class StreamingRuntime:
             leave in strictly increasing submission order, because
             chunks are contiguous and drain first in, first out.
         adapter: an :class:`~repro.service.adapt.AdaptiveRouter`
-            (mutually exclusive with ``router``): routing goes through
-            it, every extracted page's outcome feeds its drift monitor
+            (mutually exclusive with ``router``): pages are scored with
+            its plain router, and each page's decision
+            (:meth:`~repro.service.adapt.AdaptiveRouter.observe`) and
+            extraction outcome
             (:meth:`~repro.service.adapt.AdaptiveRouter.note_result`)
-            as its chunk drains, and the run report carries the
-            drift/refit counts it accumulated during the run.
+            feed its drift monitor as the page's chunk drains; the run
+            report carries the drift/refit counts it accumulated during
+            the run.  ``run()`` refuses an adapter with a canary
+            ``deployer`` (only ``serve`` attaches one).
         metrics: a :class:`~repro.service.metrics.MetricsRegistry`
             receiving per-cluster routed/failed counters and the
-            route/extract latency histograms (default: the
+            parse/signature/route/extract latency histograms (default: the
             process-wide registry; pass
             :data:`~repro.service.metrics.NULL_METRICS` to run
             uninstrumented).  Instrumentation never touches output
@@ -474,7 +612,6 @@ class StreamingRuntime:
                     "pass router or adapter, not both "
                     "(the adapter wraps its own router)"
                 )
-            router = adapter
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if executor is None:
@@ -484,25 +621,37 @@ class StreamingRuntime:
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.repository = repository
-        self.router = router
+        #: What routes pages, as passed: the router, or the adapter.
+        self.router = adapter if adapter is not None else router
+        #: The plain router the per-page step scores with (an
+        #: adapter's own); ``None`` routes by hint.
+        self._router: Optional[ClusterRouter] = (
+            adapter.router if adapter is not None else router
+        )
         self.postprocessor = postprocessor
         self.workers = workers
         self.executor_kind = executor
         self.chunk_size = chunk_size
         self.adapter = adapter
         self.metrics = metrics if metrics is not None else default_registry()
-        self._m_routed = self.metrics.from_spec("repro_pages_routed_total")
+        self._m_routed = _ByCluster(
+            self.metrics.from_spec("repro_pages_routed_total")
+        )
         self._m_unroutable = self.metrics.from_spec(
             "repro_pages_unroutable_total"
         )
         self._m_skipped = self.metrics.from_spec("repro_pages_skipped_total")
         self._m_failed = self.metrics.from_spec("repro_pages_failed_total")
-        self._m_route_seconds = self.metrics.from_spec("repro_route_seconds")
-        self._m_extract_seconds = self.metrics.from_spec(
-            "repro_extract_seconds"
+        self._m_parse_seconds = self.metrics.from_spec("repro_parse_seconds")
+        self._m_signature_seconds = self.metrics.from_spec(
+            "repro_signature_seconds"
         )
-        self._m_automaton_pages = self.metrics.from_spec(
-            "repro_automaton_pages_total"
+        self._m_route_seconds = self.metrics.from_spec("repro_route_seconds")
+        self._m_extract_seconds = _ByCluster(
+            self.metrics.from_spec("repro_extract_seconds")
+        )
+        self._m_automaton_pages = _ByCluster(
+            self.metrics.from_spec("repro_automaton_pages_total")
         )
         self._wrappers: Dict[str, CompiledWrapper] = repository.compile_all()
         #: Clusters whose wrapper actually drives the automaton (at
@@ -537,10 +686,12 @@ class StreamingRuntime:
     ) -> RuntimeReport:
         """Route, extract and sink every page; returns the run report.
 
-        Routed pages join one chunk list in stream order; a full chunk
-        is submitted, and the oldest in-flight chunk drains whenever
-        ``4 * workers`` are in flight, so records leave in submission
-        order with no reorder buffer.
+        Pages join one chunk list in stream order; a full chunk is
+        submitted, and the oldest in-flight chunk drains whenever
+        ``4 * workers`` are in flight (an inline chunk at once), so
+        records leave in submission order with no reorder buffer.  The
+        parent never parses, signs or scores a page: the chunk step
+        does, and the parent accounts each outcome as it drains.
 
         Args:
             source: the page stream (``(global index, page)`` items).
@@ -555,7 +706,16 @@ class StreamingRuntime:
                 report after every drained chunk — what a
                 :class:`~repro.service.metrics.ProgressEmitter`
                 plugs into for periodic progress lines.
+
+        Raises:
+            ValueError: when the adapter has a canary ``deployer``,
+                whose shadow extraction needs each page in the parent.
         """
+        if getattr(self.adapter, "deployer", None) is not None:
+            raise ValueError(
+                "run() cannot drive a canary deployer: its shadow "
+                "routing extracts pages in the parent (serve only)"
+            )
         sink = sink if sink is not None else NullSink()
         report = RuntimeReport()
         # Adapters outlive runs (several runs, or serve requests, may
@@ -566,8 +726,24 @@ class StreamingRuntime:
             refits_before = self.adapter.refits
         started = time.perf_counter()
         executor = self._make_executor()
+        in_flight = 1 if self.executor_kind == "inline" else 4 * self.workers
         pending: deque = deque()
-        chunk: list[ChunkItem] = []
+        chunk: list[SourceItem] = []
+        router = self._router
+        shipped = router.profiles if router is not None else None
+        generation: Optional[tuple[int, bytes]] = None
+
+        def submit(items: list[SourceItem]) -> None:
+            nonlocal shipped, generation
+            if router is not None and router.profiles is not shipped:
+                # A refit swapped the profiles while a chunk drained:
+                # this chunk and every later one carry the new
+                # generation, pickled once.
+                shipped = router.profiles
+                number = generation[0] + 1 if generation else 1
+                generation = (number, pickle.dumps(router))
+            pending.append(executor.submit_chunk(items, generation))
+
         try:
             for index, page in source:
                 if cancel is not None and cancel.is_set():
@@ -577,17 +753,14 @@ class StreamingRuntime:
                     report.cancelled = True
                     break
                 report.total_pages += 1
-                cluster = self._route(page, report)
-                if cluster is None:
-                    continue
-                chunk.append((index, cluster, page))
+                chunk.append((index, page))
                 if len(chunk) >= self.chunk_size:
-                    self._submit(executor, chunk, pending)
+                    submit(chunk)
                     chunk = []
-                    while len(pending) >= 4 * self.workers:
+                    while len(pending) >= in_flight:
                         self._drain_one(pending, sink, report, on_progress)
             if chunk:
-                self._submit(executor, chunk, pending)
+                submit(chunk)
             while pending:
                 self._drain_one(pending, sink, report, on_progress)
         finally:
@@ -599,28 +772,31 @@ class StreamingRuntime:
         return report
 
     def process_page(self, page: WebPage) -> Union[PageRecord, dict, None]:
-        """Route and extract one page on the calling thread.
+        """Parse, route and extract one page on the calling thread.
 
         Returns the page's :class:`PageRecord` (``index`` −1), a
         :func:`~repro.service.sink.make_error_record` payload when
         extraction raised, or ``None`` when the page is unroutable or
         its cluster has no rules.  Keeps no state between calls, so
-        the serve front-ends call it from many threads at once.
+        the serve front-ends call it from many threads at once; an
+        adapter observes the page's decision at once.
         """
-        cluster = self._route(page)
-        if cluster is None:
+        outcome = _route_and_extract(
+            self._router, self._wrappers, page,
+            observed=self.adapter is not None,
+        )
+        if not self._note_route(outcome, page=page):
             return None
-        try:
-            outcome = _extract_one(self._wrappers[cluster], -1, cluster, page)
-        except Exception as exc:
+        if outcome.error is not None:
             # One pathological page must not end a serve session: it
             # becomes this request's error record, and it is drift
             # just as surely as a componentwise failure.
-            self._m_failed.labels(cluster).inc()
+            self._m_failed.labels(outcome.cluster).inc()
             if self.adapter is not None:
-                self.adapter.note_result(cluster, True)
+                self.adapter.note_result(outcome.cluster, True)
+            error = outcome.error
             return make_error_record(
-                f"{type(exc).__name__}: {exc}", url=page.url
+                f"{type(error).__name__}: {error}", url=page.url
             )
         return self._finish(outcome)
 
@@ -658,45 +834,57 @@ class StreamingRuntime:
     # ------------------------------------------------------------------ #
 
     def _make_executor(self):
+        observed = self.adapter is not None
         if self.executor_kind == "process":
-            return ProcessPoolExecutor(
+            # A snapshot of the router: a worker started late (spawn
+            # starts them on demand) must still begin at generation 0.
+            router = (
+                self._router.clone() if self._router is not None else None
+            )
+            return _ProcessExecutor(
                 max_workers=self.workers,
                 initializer=_init_process_worker,
-                initargs=(self.repository.to_dict(),),
+                initargs=(router, self.repository.to_dict(), observed),
             )
-        return _InlineExecutor()
+        return _InlineExecutor(
+            _ChunkWorker(self._router, self._wrappers, observed)
+        )
 
-    def _route(
-        self, page: WebPage, report: Optional[RuntimeReport] = None
-    ) -> Optional[str]:
-        """The page's served cluster, or ``None`` (noted in ``report``)."""
-        if self.router is not None:
-            # Parse outside the route timer: repro_route_seconds is
-            # signature and scoring only.  Hint routing never needs
-            # the DOM, so it stays unparsed.
-            page.root_element
-        started = time.perf_counter()
-        try:
-            if self.router is not None:
-                cluster = self.router.target(page)
-            else:
-                cluster = page.cluster_hint or None
-            if cluster is None:
-                if report is not None:
-                    report.note_unroutable(page.url)
-                self._m_unroutable.inc()
-                return None
-            if cluster not in self._wrappers:
-                if report is not None:
-                    report.note_skipped(page.url)
-                self._m_skipped.inc()
-                return None
+    def _note_route(
+        self,
+        outcome: _Outcome,
+        report: Optional[RuntimeReport] = None,
+        page: Optional[WebPage] = None,
+    ) -> bool:
+        """Account one page's routing; ``True`` when its cluster is served.
+
+        Observes the parse, signature and route timers the outcome
+        carries, feeds the decision to the adapter (with ``page`` for a
+        canary's shadow extraction), and counts the page as routed,
+        unroutable or skipped (noted in ``report``).
+        """
+        if outcome.parse_seconds is not None:
+            self._m_parse_seconds.observe(outcome.parse_seconds)
+        if outcome.signature_seconds is not None:
+            self._m_signature_seconds.observe(outcome.signature_seconds)
+        self._m_route_seconds.observe(outcome.route_seconds)
+        if self.adapter is not None:
+            self.adapter.observe(outcome.signature, outcome.decision, page)
+        cluster = outcome.cluster
+        if cluster is None:
             if report is not None:
-                report.routed[cluster] = report.routed.get(cluster, 0) + 1
-            self._m_routed.labels(cluster).inc()
-            return cluster
-        finally:
-            self._m_route_seconds.observe(time.perf_counter() - started)
+                report.note_unroutable(outcome.url)
+            self._m_unroutable.inc()
+            return False
+        if cluster not in self._wrappers:
+            if report is not None:
+                report.note_skipped(outcome.url)
+            self._m_skipped.inc()
+            return False
+        if report is not None:
+            report.routed[cluster] = report.routed.get(cluster, 0) + 1
+        self._m_routed[cluster].inc()
+        return True
 
     def _finish(
         self, outcome: _Outcome, report: Optional[RuntimeReport] = None
@@ -708,52 +896,50 @@ class StreamingRuntime:
         its cluster's ``worker_seconds``), counts automaton pages,
         feeds the drift monitor, and returns the record.
         """
-        index, cluster, url, values, failures, seconds = outcome
+        cluster, values, failures = (
+            outcome.cluster, outcome.values, outcome.failures
+        )
+        seconds = outcome.extract_seconds
         chains = self._chains.get(cluster)
         if chains is not None:
             values = {
                 name: chains[name](texts) if name in chains else texts
                 for name, texts in values.items()
             }
-        self._m_extract_seconds.labels(cluster).observe(seconds)
+        self._m_extract_seconds[cluster].observe(seconds)
         if report is not None:
-            stats = report.per_cluster.setdefault(cluster, ClusterStats())
+            stats = report.per_cluster.get(cluster)
+            if stats is None:
+                stats = report.per_cluster[cluster] = ClusterStats()
             stats.pages += 1
             stats.values += sum(len(texts) for texts in values.values())
             stats.failures += len(failures)
             stats.worker_seconds += seconds
         if cluster in self._automaton_clusters:
-            self._m_automaton_pages.labels(cluster).inc()
+            self._m_automaton_pages[cluster].inc()
         if self.adapter is not None:
             # Routing alone cannot see drift that keeps pages routable
             # but breaks extraction (a renamed label, a moved cell).
             self.adapter.note_result(cluster, bool(failures))
         return PageRecord(
-            url=url, cluster=cluster, values=values, failures=failures,
-            index=index,
+            url=outcome.url, cluster=cluster, values=values,
+            failures=failures, index=outcome.index,
         )
-
-    def _submit(
-        self, executor, chunk: list[ChunkItem], pending: deque
-    ) -> None:
-        if self.executor_kind == "process":
-            future = executor.submit(
-                _process_chunk,
-                [
-                    (index, cluster, page.url, page.html)
-                    for index, cluster, page in chunk
-                ],
-            )
-        else:
-            future = executor.submit(_extract_chunk, self._wrappers, chunk)
-        pending.append(future)
 
     def _drain_one(
         self, pending: deque, sink: ResultSink, report: RuntimeReport,
         on_progress: Optional[Callable[[RuntimeReport], None]],
     ) -> None:
-        """Sink the oldest in-flight chunk's records, in stream order."""
+        """Account and sink the oldest in-flight chunk, in stream order.
+
+        An extraction exception ends the run here, after the records
+        of the chunk's earlier pages.
+        """
         for outcome in pending.popleft().result():
+            if not self._note_route(outcome, report):
+                continue
+            if outcome.error is not None:
+                raise outcome.error
             sink.write(self._finish(outcome, report))
         if on_progress is not None:
             on_progress(report)

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.repository import RuleRepository
-from repro.errors import HtmlParseError
 from repro.extraction.postprocess import PostProcessor
 from repro.service.metrics import (
     NULL_METRICS,
@@ -211,8 +210,10 @@ class ServeHandler:
 
         Returns ``(response line, served)`` — ``served`` is True only
         for a successfully extracted page (the session's counter).
-        Never raises on bad input: malformed JSON, missing/mistyped
-        fields and unparseable HTML come back as error records.
+        Never raises on bad input: malformed JSON and missing or
+        mistyped fields come back as error records, and the parser
+        accepts any string.  The page is parsed once, in the runtime's
+        per-page step, under ``repro_parse_seconds``.
         """
         url: Optional[str] = None
         try:
@@ -221,14 +222,12 @@ class ServeHandler:
             if not isinstance(url, str) or not isinstance(html, str):
                 raise TypeError("url and html must be strings")
             page = WebPage(url=url, html=html)
-            page.root_element  # parse eagerly so bad HTML fails here
-        except (json.JSONDecodeError, KeyError, TypeError,
-                HtmlParseError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             return _dumps(make_error_record(str(exc), url=url)), False
         return self.handle_page(page)
 
     def handle_page(self, page: WebPage) -> tuple[str, bool]:
-        """Route and extract one parsed page through the runtime."""
+        """Parse, route and extract one page through the runtime."""
         if self.router is None and self.cluster:
             page.cluster_hint = self.cluster
         result = self.runtime.process_page(page)

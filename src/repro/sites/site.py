@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 from urllib.parse import urlparse
 
 from repro.errors import SiteGenerationError
@@ -39,13 +39,6 @@ class WebSite:
             raise SiteGenerationError(f"duplicate URL {page.url}")
         self.pages[page.url] = page
         return page
-
-    @classmethod
-    def from_pages(cls, domain: str, pages: Iterable[WebPage]) -> "WebSite":
-        site = cls(domain)
-        for page in pages:
-            site.add_page(page)
-        return site
 
     # -- access ------------------------------------------------------------ #
 

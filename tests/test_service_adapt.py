@@ -746,3 +746,179 @@ class TestServeDriftRegression:
         ))
         assert stats.refits == 0
         assert adaptive_text.getvalue() == frozen_text.getvalue()
+
+
+# --------------------------------------------------------------------- #
+# run(): workers route, the parent observes, generations ship
+# --------------------------------------------------------------------- #
+
+
+class TestRunRouterGenerations:
+    """``run()`` scores pages in its workers with the adapter's plain
+    router; a refit fired while a chunk drains reaches every chunk
+    submitted after that drain, and no chunk submitted before it."""
+
+    def _adapter(self, depth_corpus) -> AdaptiveRouter:
+        fitted, _ = depth_corpus
+        return make_adapter(
+            ClusterRouter.fit({"depth-1": fitted[:8]}, threshold=0.8),
+            window=32,
+        )
+
+    def _spied_run(self, depth_corpus, depth_repository, monkeypatch):
+        """A drifting ``workers=2`` run, recording what crossed to the
+        pool and what the adapter observed, in stream order."""
+        import repro.service.runtime as runtime_module
+        from repro.service.metrics import MetricsRegistry
+        from repro.service.runtime import IterablePageSource, StreamingRuntime
+
+        _, stream = depth_corpus
+        adapter = self._adapter(depth_corpus)
+        initargs, submitted, decisions = [], [], []
+        executor_class = runtime_module._ProcessExecutor
+        init, submit = executor_class.__init__, executor_class.submit
+        observe = AdaptiveRouter.observe
+
+        def spy_init(executor, *args, **kwargs):
+            initargs.append(kwargs["initargs"])
+            init(executor, *args, **kwargs)
+
+        def spy_submit(executor, fn, shipped, generation):
+            # What crosses to the pool, and the profiles live when it
+            # left.
+            submitted.append((shipped, generation, adapter.router.profiles))
+            return submit(executor, fn, shipped, generation)
+
+        def spy_observe(self, signature, decision, page=None):
+            decisions.append(decision)
+            observe(self, signature, decision, page)
+
+        monkeypatch.setattr(executor_class, "__init__", spy_init)
+        monkeypatch.setattr(executor_class, "submit", spy_submit)
+        monkeypatch.setattr(AdaptiveRouter, "observe", spy_observe)
+        runtime = StreamingRuntime(
+            depth_repository, adapter=adapter, workers=2, chunk_size=4,
+            metrics=MetricsRegistry(),
+        )
+        report = runtime.run(IterablePageSource(stream))
+        return stream, report, initargs, submitted, decisions
+
+    def test_refit_routes_exactly_the_chunks_submitted_after_it(
+        self, depth_corpus, depth_repository, monkeypatch
+    ):
+        stream, report, _, submitted, decisions = self._spied_run(
+            depth_corpus, depth_repository, monkeypatch
+        )
+        assert report.refits >= 1
+        assert len(decisions) == len(stream)
+        first = submitted[0][2]
+        moved = 0
+        for items, _, profiles in submitted:
+            live = ClusterRouter(profiles, threshold=0.8)
+            for index, url, html, _ in items:
+                expected = live.route(WebPage(url=url, html=html))
+                assert decisions[index] == expected, index
+                initial = ClusterRouter(first, threshold=0.8).route(
+                    WebPage(url=url, html=html)
+                )
+                moved += expected != initial
+        # The refit changed decisions, so the check above has teeth.
+        assert moved > 0
+
+    def test_inline_refit_applies_from_the_next_page(
+        self, depth_corpus, depth_repository, monkeypatch
+    ):
+        import repro.service.runtime as runtime_module
+        from repro.service.metrics import MetricsRegistry
+        from repro.service.runtime import IterablePageSource, StreamingRuntime
+
+        _, stream = depth_corpus
+        adapter = self._adapter(depth_corpus)
+        submitted, decisions = [], []
+        submit_chunk = runtime_module._InlineExecutor.submit_chunk
+        observe = AdaptiveRouter.observe
+
+        def spy_submit(executor, items, generation):
+            submitted.append((items, adapter.router.profiles))
+            return submit_chunk(executor, items, generation)
+
+        def spy_observe(self, signature, decision, page=None):
+            decisions.append(decision)
+            observe(self, signature, decision, page)
+
+        monkeypatch.setattr(
+            runtime_module._InlineExecutor, "submit_chunk", spy_submit
+        )
+        monkeypatch.setattr(AdaptiveRouter, "observe", spy_observe)
+        runtime = StreamingRuntime(
+            depth_repository, adapter=adapter, workers=1, chunk_size=1,
+            metrics=MetricsRegistry(),
+        )
+        report = runtime.run(IterablePageSource(stream))
+        assert report.refits >= 1
+        assert len(submitted) == len(decisions) == len(stream)
+        # Page i left after page i - 1 drained: it routes with every
+        # refit that drain fired.
+        for (((index, page),), profiles) in submitted:
+            live = ClusterRouter(profiles, threshold=0.8)
+            assert decisions[index] == live.route(
+                WebPage(url=page.url, html=page.html)
+            )
+        assert len({id(profiles) for _, profiles in submitted}) > 1
+
+    def test_adapter_never_crosses_to_the_pool(
+        self, depth_corpus, depth_repository, monkeypatch
+    ):
+        import pickle
+
+        _, report, initargs, submitted, _ = self._spied_run(
+            depth_corpus, depth_repository, monkeypatch
+        )
+        assert report.refits >= 1
+        (router, _, observed), = initargs
+        assert type(router) is ClusterRouter
+        assert observed
+        generations = [generation for _, generation, _ in submitted]
+        assert generations[0] is None
+        # Generations number up from 1, each pickled once and then
+        # carried by every later chunk.
+        shipped = [g for g in generations if g is not None]
+        numbers = [number for number, _ in shipped]
+        assert numbers[0] == 1 and numbers == sorted(numbers)
+        assert len({id(g) for g in shipped}) == numbers[-1]
+        for _, blob in shipped:
+            assert type(pickle.loads(blob)) is ClusterRouter
+        # Everything that crossed pickles (an AdaptiveRouter, with its
+        # lock, would not).
+        pickle.dumps((initargs, [items for items, _, _ in submitted]))
+
+    def test_router_pickles_and_routes_the_same(self, depth_corpus):
+        # A guard: spawn-style pools pickle the router they are given.
+        import pickle
+
+        router = self._adapter(depth_corpus).router
+        copy = pickle.loads(pickle.dumps(router))
+        _, stream = depth_corpus
+        sample = stream[::5]
+        assert [
+            copy.route(WebPage(url=page.url, html=page.html))
+            for page in sample
+        ] == [
+            router.route(WebPage(url=page.url, html=page.html))
+            for page in sample
+        ]
+
+    def test_run_refuses_an_adapter_with_a_deployer(
+        self, depth_corpus, depth_repository
+    ):
+        from repro.service.metrics import MetricsRegistry
+        from repro.service.runtime import IterablePageSource, StreamingRuntime
+
+        adapter = self._adapter(depth_corpus)
+        adapter.deployer = object()
+        runtime = StreamingRuntime(
+            depth_repository, adapter=adapter, metrics=MetricsRegistry()
+        )
+        _, stream = depth_corpus
+        with pytest.raises(ValueError, match="deployer"):
+            runtime.run(IterablePageSource(stream[:4]))

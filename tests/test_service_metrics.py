@@ -417,6 +417,26 @@ class TestRouteSecondsExcludeParse:
         assert parses == []
         assert len(observed) == len(fresh_pages)
 
+    def test_routed_process_run_never_parses_in_the_parent(
+        self, service_repository, router, fresh_pages, slow_parses
+    ):
+        # The workers parse, sign and score each page; the parent only
+        # observes the timings each outcome carries, as chunks drain.
+        parses, observed = slow_parses
+        registry = MetricsRegistry()
+        runtime = StreamingRuntime(
+            service_repository, router=router, workers=2,
+            executor="process", chunk_size=4, metrics=registry,
+        )
+        report = runtime.run(IterablePageSource(fresh_pages))
+        assert report.pages_served == len(fresh_pages)
+        assert parses == []
+        assert len(observed) == len(fresh_pages)
+        assert max(observed) < self.PARSE_DELAY
+        parsed = parse_exposition(registry.render())
+        for name in ("repro_parse_seconds", "repro_signature_seconds"):
+            assert _values(parsed, name)[f"{name}_count"] == len(fresh_pages)
+
 
 # --------------------------------------------------------------------- #
 # Cooperative cancellation

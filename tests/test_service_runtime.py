@@ -21,7 +21,7 @@ from repro.service.runtime import (
     LoadingPageSource,
     OrderedEmitter,
     StreamingRuntime,
-    _extract_chunk,
+    _ChunkWorker,
     _init_process_worker,
     _process_chunk,
 )
@@ -214,28 +214,75 @@ def movie_pages_30(service_site):
     return service_site.pages_with_hint("imdb-movies")[:30]
 
 
+@pytest.fixture(scope="module")
+def mixed_stream(service_site):
+    # Two served clusters interleaved page by page, with no-rules
+    # (search) and unroutable (hintless, unlike any profile) pages
+    # between them.
+    movies = service_site.pages_with_hint("imdb-movies")[:12]
+    actors = service_site.pages_with_hint("imdb-actors")[:12]
+    searches = service_site.pages_with_hint("imdb-search")[:4]
+    stream = []
+    for i in range(12):
+        stream += [movies[i], actors[i]]
+        if i % 3 == 0:
+            stream.append(searches[i // 3])
+        if i % 4 == 1:
+            stream.append(WebPage(url=f"http://x/stray-{i}",
+                                  html="<body><p>?</p></body>"))
+    return stream
+
+
+@pytest.fixture(scope="module")
+def fitted_router(service_site):
+    from repro.service.router import ClusterRouter
+
+    # imdb-search is profiled but has no rules: its pages are skipped.
+    return ClusterRouter.fit({
+        hint: service_site.pages_with_hint(hint)[12:20]
+        for hint in ("imdb-movies", "imdb-actors", "imdb-search")
+    })
+
+
+def _timeless(report):
+    """The report with its wall and worker seconds zeroed."""
+    report.wall_seconds = 0.0
+    for stats in report.per_cluster.values():
+        stats.worker_seconds = 0.0
+    return report
+
+
 class TestStreamingRuntime:
+    @pytest.mark.parametrize("chunk_size", [1, 3, 16])
+    @pytest.mark.parametrize("routing", ["hint", "router"])
     def test_inline_executor_matches_process_pool(
-        self, movie_pages_30, service_repository
+        self, mixed_stream, fitted_router, service_repository, routing,
+        chunk_size,
     ):
-        inline = StreamingRuntime(service_repository)
-        pooled = StreamingRuntime(
-            service_repository, workers=4, chunk_size=7
+        # A guard: both executors run one chunk step, so the records
+        # and every report field agree, whatever the chunk cut.
+        router = fitted_router if routing == "router" else None
+        inline, pooled = (
+            StreamingRuntime(
+                service_repository, router=router, workers=workers,
+                chunk_size=chunk_size, metrics=MetricsRegistry(),
+            )
+            for workers in (1, 2)
         )
         assert (inline.executor_kind, pooled.executor_kind) == (
             "inline", "process"
         )
-        _, inline_records = inline.run_collect(
-            IterablePageSource(movie_pages_30)
+        inline_report, inline_records = inline.run_collect(
+            IterablePageSource(mixed_stream)
         )
-        _, pooled_records = pooled.run_collect(
-            IterablePageSource(movie_pages_30)
+        pooled_report, pooled_records = pooled.run_collect(
+            IterablePageSource(mixed_stream)
         )
-        assert [
-            (r.index, r.url, r.values) for r in inline_records
-        ] == [
-            (r.index, r.url, r.values) for r in pooled_records
-        ]
+        assert pooled_records == inline_records
+        assert set(inline_report.routed) == {"imdb-movies", "imdb-actors"}
+        assert inline_report.unroutable_count == 3
+        assert inline_report.skipped_count == 4
+        assert _timeless(pooled_report) == _timeless(inline_report)
 
     def test_sparse_global_indices_survive_to_records(
         self, movie_pages_30, service_repository
@@ -309,23 +356,6 @@ class TestStreamingRuntime:
 
 class TestContiguousChunks:
     """Chunks are cut from the stream and drain first in, first out."""
-
-    @pytest.fixture(scope="class")
-    def mixed_stream(self, service_site):
-        # Two served clusters interleaved page by page, with no-rules
-        # (search) and unroutable (hintless) pages between them.
-        movies = service_site.pages_with_hint("imdb-movies")[:12]
-        actors = service_site.pages_with_hint("imdb-actors")[:12]
-        searches = service_site.pages_with_hint("imdb-search")[:4]
-        stream = []
-        for i in range(12):
-            stream += [movies[i], actors[i]]
-            if i % 3 == 0:
-                stream.append(searches[i // 3])
-            if i % 4 == 1:
-                stream.append(WebPage(url=f"http://x/stray-{i}",
-                                      html="<body><p>?</p></body>"))
-        return stream
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_leave_in_stream_order_as_process_page_gives_them(
@@ -481,23 +511,25 @@ class TestProcessPool:
     ):
         movies = service_site.pages_with_hint("imdb-movies")[:3]
         actors = service_site.pages_with_hint("imdb-actors")[:3]
-        chunk = [
-            (i, page.cluster_hint, page)
+        items = [
+            (i, page.url, page.html, page.cluster_hint)
             for i, page in enumerate(movies + actors)
         ]
         # The worker start-up sets a module global; restore it after.
-        monkeypatch.setattr(runtime_module, "_WORKER_WRAPPERS", {})
-        _init_process_worker(service_repository.to_dict())
-        pooled = _process_chunk(
-            [(i, cluster, page.url, page.html) for i, cluster, page in chunk]
-        )
-        inline = _extract_chunk(service_repository.compile_all(), chunk)
-        # Everything but the per-page extraction seconds (last slot).
-        assert [outcome[:-1] for outcome in pooled] == [
-            outcome[:-1] for outcome in inline
+        monkeypatch.setattr(runtime_module, "_WORKER", None)
+        _init_process_worker(None, service_repository.to_dict(), False)
+        pooled = _process_chunk(items)
+        inline = _ChunkWorker(
+            None, service_repository.compile_all(), False
+        ).run_chunk([
+            (i, page) for i, page in enumerate(movies + actors)
+        ])
+        # Everything up to the per-layer seconds.
+        assert [outcome[:6] for outcome in pooled] == [
+            outcome[:6] for outcome in inline
         ]
-        assert [outcome[:2] for outcome in pooled] == [
-            (i, cluster) for i, cluster, _ in chunk
+        assert [(o.index, o.cluster) for o in pooled] == [
+            (i, hint) for i, _, _, hint in items
         ]
 
     def test_worker_death_breaks_the_run(
