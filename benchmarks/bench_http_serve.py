@@ -1,22 +1,24 @@
 """HTTP serve front-end throughput — sockets vs the stdin loop.
 
 Measures requests/second (one page per request line) over a paced
-client for the two ``serve`` front-ends:
+producer for the two ``serve`` front-ends:
 
-* the asyncio stdin front-end;
+* the stdin front-end (:func:`~repro.service.serve.serve_lines`),
+  reading an OS pipe;
 * the HTTP front-end (``serve --http``): one connection, one
   ``POST /batch`` whose NDJSON body arrives at the paced rate while
-  the chunked NDJSON response streams back concurrently — the socket
-  twin of the paced-stdin scenario.
+  the chunked NDJSON response streams back — the socket twin of the
+  piped-stdin scenario.
 
 Pacing models a real upstream feed (:data:`PRODUCER_LATENCY` per
-line): the front-ends win exactly by overlapping that production
-latency with extraction, and the HTTP layer must not squander the win
-on framing.  On both sides the producer runs on a thread of its own,
-off the server's event loop: the stdin loop's reader thread reads a
-:class:`_PacedStdin`, and the HTTP client is a blocking socket on its
-own thread that sleeps as long per line and then reads the chunked
-response.
+line): the front-ends win by answering each line while the producer
+prepares the next, and the HTTP layer must not squander that on
+framing.  On both sides the producer is a thread of its own that
+sleeps that long per line: it writes into the stdin loop's pipe, or
+into the HTTP client's socket, whose chunked response it then reads.
+Both sides are timed over the same span, from the producer's first
+byte to the last record; starting and stopping a front-end is not in
+it.
 
 The two front-ends alternate over :data:`ROUNDS` rounds, each going
 first equally often, and each is scored by its best pass, so the ratio
@@ -24,7 +26,7 @@ does not rest on one unpaired pass of a host whose speed drifts.
 
 Acceptance bar (failing the run — this file is CI's regression gate
 for the socket ingress): HTTP throughput must stay within
-:data:`MIN_HTTP_VS_ASYNC` of the asyncio stdin loop on the same paced
+:data:`MIN_HTTP_VS_STDIN` of the stdin loop on the same paced
 corpus.  Results merge into the ``$BENCH_RESULTS`` JSON artifact next
 to the other service measurements.
 
@@ -36,14 +38,16 @@ supervisor is gated against (``bench_multiworker_serve`` asserts the
 import asyncio
 import io
 import json
+import os
 import socket
+import threading
 import time
 
 from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
 from repro.service.http import HttpFrontEnd
-from repro.service.serve import ServeHandler, serve_async
+from repro.service.serve import ServeHandler, serve_lines
 from repro.sites.imdb import generate_imdb_site
 
 from conftest import emit, write_results
@@ -60,8 +64,8 @@ PRODUCER_LATENCY = 0.001
 ROUNDS = 6
 
 #: Regression floor: HTTP must sustain at least this fraction of the
-#: asyncio stdin front-end's throughput on the paced corpus.
-MIN_HTTP_VS_ASYNC = 0.9
+#: stdin front-end's throughput on the paced corpus.
+MIN_HTTP_VS_STDIN = 0.9
 
 
 def _serve_corpus() -> tuple[ServeHandler, list[str]]:
@@ -82,23 +86,31 @@ def _serve_corpus() -> tuple[ServeHandler, list[str]]:
     return handler, lines
 
 
-class _PacedStdin:
-    """A stdin whose producer needs ~1 ms per line, like a real pipe."""
+def _stdin_seconds(handler, lines: list[str]) -> float:
+    """One paced producer thread writing into the stdin loop's pipe.
 
-    def __init__(self, lines: list[str]) -> None:
-        self._lines = iter(lines)
+    Returns the seconds from the producer's first byte to the last
+    record: the loop writes that record, then reads the EOF the
+    producer left after its last line.
+    """
+    payload = [(line + "\n").encode("utf-8") for line in lines]
+    read_fd, write_fd = os.pipe()
+    started = []
 
-    def readline(self) -> str:
-        time.sleep(PRODUCER_LATENCY)
-        return next(self._lines, "")
+    def produce() -> None:
+        with os.fdopen(write_fd, "wb") as pipe:
+            started.append(time.perf_counter())
+            for data in payload:
+                time.sleep(PRODUCER_LATENCY)  # the paced upstream
+                pipe.write(data)
+                pipe.flush()
 
-
-def _async_stdin_seconds(handler, lines: list[str]) -> float:
-    stdin = _PacedStdin([line + "\n" for line in lines])
-    out = io.StringIO()
-    started = time.perf_counter()
-    stats = asyncio.run(serve_async(handler, stdin, out, max_inflight=8))
-    elapsed = time.perf_counter() - started
+    producer = threading.Thread(target=produce)
+    with os.fdopen(read_fd, "r", encoding="utf-8") as stdin:
+        producer.start()
+        stats = serve_lines(handler, stdin, io.StringIO())
+        elapsed = time.perf_counter() - started[0]
+    producer.join()
     assert stats.served == len(lines)
     return elapsed
 
@@ -106,9 +118,9 @@ def _async_stdin_seconds(handler, lines: list[str]) -> float:
 def _paced_client(port: int, lines: list[str]) -> tuple[float, int]:
     """One paced ``POST /batch`` over a blocking socket, full drain.
 
-    Sends the head, then one line per :data:`PRODUCER_LATENCY` as
-    :class:`_PacedStdin` yields them, then reads the chunked response
-    (which the kernel's receive buffer holds meanwhile).  Returns the
+    Sends the head, then one line per :data:`PRODUCER_LATENCY` as the
+    stdin side's producer does, then reads the chunked response (which
+    the kernel's receive buffer holds meanwhile).  Returns the
     seconds from the first byte sent to the last chunk read, and the
     records received.
     """
@@ -142,7 +154,7 @@ def _paced_client(port: int, lines: list[str]) -> tuple[float, int]:
 
 async def _paced_batch_round(handler, lines: list[str]) -> float:
     """One paced client thread against a started HTTP front-end."""
-    front = HttpFrontEnd(handler, "127.0.0.1", 0, max_inflight=8)
+    front = HttpFrontEnd(handler, "127.0.0.1", 0)
     await front.start()
     elapsed, records = await asyncio.to_thread(
         _paced_client, front.port, lines
@@ -164,7 +176,7 @@ def _paired(handler, lines: list[str]) -> tuple[float, float]:
     first alternating, so a drift in host speed lands on both sides
     instead of on whichever ran second.
     """
-    sides = (_async_stdin_seconds, _http_seconds)
+    sides = (_stdin_seconds, _http_seconds)
     best = [float("inf"), float("inf")]
     for round_index in range(ROUNDS):
         order = (0, 1) if round_index % 2 == 0 else (1, 0)
@@ -177,23 +189,23 @@ def test_http_serve_throughput(benchmark):
     handler, lines = _serve_corpus()
     total = len(lines)
 
-    async_seconds, http_seconds = benchmark.pedantic(
+    stdin_seconds, http_seconds = benchmark.pedantic(
         lambda: _paired(handler, lines), rounds=1, iterations=1,
     )
 
     def pps(seconds: float) -> float:
         return total / seconds
 
-    http_vs_async = async_seconds / http_seconds
+    http_vs_stdin = stdin_seconds / http_seconds
     emit(
         "HTTP serve front-end (requests/second, higher is better)",
         "\n".join([
             f"pages: {total}, producer latency: "
-            f"{PRODUCER_LATENCY * 1000:.1f} ms/line, 8 in flight, "
+            f"{PRODUCER_LATENCY * 1000:.1f} ms/line, "
             f"best of {ROUNDS} alternating rounds",
-            f"async stdin loop     : {pps(async_seconds):9.1f} req/s",
+            f"stdin loop (pipe)    : {pps(stdin_seconds):9.1f} req/s",
             f"http /batch stream   : {pps(http_seconds):9.1f} req/s"
-            f"  ({http_vs_async:.2f}x async stdin)",
+            f"  ({http_vs_stdin:.2f}x stdin)",
         ]),
     )
     results_path = write_results({
@@ -202,18 +214,18 @@ def test_http_serve_throughput(benchmark):
             "producer_latency_seconds": PRODUCER_LATENCY,
             "rounds": ROUNDS,
             "requests_per_second": {
-                "async_stdin_paced": pps(async_seconds),
+                "stdin_paced": pps(stdin_seconds),
                 "http_batch_paced": pps(http_seconds),
             },
-            "http_vs_async_stdin": http_vs_async,
-            "min_http_vs_async": MIN_HTTP_VS_ASYNC,
+            "http_vs_stdin": http_vs_stdin,
+            "min_http_vs_stdin": MIN_HTTP_VS_STDIN,
         },
     })
     print(f"results written to {results_path}")
 
-    # Regression gate: the socket ingress must not squander the async
-    # overlap win on HTTP framing.
-    assert http_vs_async >= MIN_HTTP_VS_ASYNC, (
-        f"HTTP serve is only {http_vs_async:.2f}x the async stdin loop "
-        f"(regression floor: {MIN_HTTP_VS_ASYNC}x)"
+    # Regression gate: the socket ingress must not squander the stdin
+    # loop's throughput on HTTP framing.
+    assert http_vs_stdin >= MIN_HTTP_VS_STDIN, (
+        f"HTTP serve is only {http_vs_stdin:.2f}x the stdin loop "
+        f"(regression floor: {MIN_HTTP_VS_STDIN}x)"
     )

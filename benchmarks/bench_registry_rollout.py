@@ -33,7 +33,6 @@ benches):
   not a wall-clock race); wall time of both replays is reported.
 """
 
-import asyncio
 import io
 import json
 import time
@@ -48,7 +47,7 @@ from repro.service.registry import (
     wrapper_extractor,
 )
 from repro.service.router import UNROUTABLE, ClusterRouter
-from repro.service.serve import ServeHandler, serve_async
+from repro.service.serve import ServeHandler, serve_lines
 from repro.sites.variation import DEPTH_COMPONENTS, generate_depth_cluster
 
 from conftest import emit, write_results
@@ -107,9 +106,7 @@ def _serve(handler, pages):
     )
     stdout = io.StringIO()
     started = time.perf_counter()
-    stats = asyncio.run(serve_async(
-        handler, io.StringIO(text), stdout, max_inflight=1,
-    ))
+    stats = serve_lines(handler, io.StringIO(text), stdout)
     elapsed = time.perf_counter() - started
     outputs = [
         json.loads(line) for line in stdout.getvalue().strip().splitlines()

@@ -13,9 +13,8 @@ Subcommands mirror the Figure-1 pipeline:
 * ``batch``       — serve a directory through the streaming extraction
                     runtime (router -> compiled wrappers -> sink);
 * ``serve``       — online loop: read ``{"url", "html"}`` JSON lines
-                    from stdin, write extraction records to stdout.
-                    Asynchronous (bounded in-flight pages, output in
-                    input order); ``--http HOST:PORT``
+                    from stdin, write extraction records to stdout,
+                    one line at a time; ``--http HOST:PORT``
                     serves the same contract over a socket instead
                     (``POST /extract``, streaming ``POST /batch``,
                     ``GET /healthz``, ``GET /metrics``) with graceful
@@ -1080,9 +1079,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("--canary-fraction needs --adapt (a canary shadows "
               "refit candidates)", file=sys.stderr)
         return 2
-    if args.max_inflight < 1:
-        print("--max-inflight must be >= 1", file=sys.stderr)
-        return 2
     # Only the selected exemplar files are read (a name scan plus
     # ``exemplars`` reads per cluster), not the whole directory.
     deployment = _deploy(
@@ -1124,7 +1120,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # HTTP ingress inherit the same caps and admission limits.
         policy = ServePolicy(
             max_decode_failures=serve.MAX_DECODE_FAILURES,
-            max_inflight=args.max_inflight,
             rate_limit=args.rate_limit,
             rate_burst=args.rate_burst,
             max_concurrent_requests=args.max_concurrent,
@@ -1207,8 +1202,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_stdin(handler, args) -> int:
-    """The asyncio stdin front-end."""
-    from repro.service import serve_async
+    """The stdin front-end: one line read, answered and written at a time."""
+    from repro.service import serve_lines
 
     stdin = args.stdin if args.stdin is not None else sys.stdin
     stdout = args.stdout if args.stdout is not None else sys.stdout
@@ -1221,16 +1216,9 @@ def _serve_stdin(handler, args) -> int:
             reconfigure(errors="backslashreplace")
         except (ValueError, OSError):  # pragma: no cover - exotic stream
             pass
-    try:
-        stats = asyncio.run(serve_async(
-            handler, stdin, stdout, on_output_closed=_serve_output_closed,
-        ))
-    except KeyboardInterrupt:
-        # The interrupt hit the event loop itself rather than the
-        # coroutine; in-flight output was flushed line-complete.
-        print("interrupted; partial output is line-complete",
-              file=sys.stderr)
-        return 130
+    stats = serve_lines(
+        handler, stdin, stdout, on_output_closed=_serve_output_closed,
+    )
     if stats.interrupted:
         print("interrupted; partial output is line-complete",
               file=sys.stderr)
@@ -1670,9 +1658,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "HTTP requests get to finish before their "
                             "connections are force-closed (size it for "
                             "the largest legitimate batch)")
-    serve.add_argument("--max-inflight", type=int, default=8,
-                       help="async front-ends: concurrent pages in flight "
-                            "(the memory/backpressure bound)")
     serve.add_argument("--rate-limit", type=float, default=0.0,
                        help="admission control: sustained requests/second "
                             "allowed per client before 429 responses "

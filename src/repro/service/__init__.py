@@ -24,8 +24,8 @@ Every entry point is a composition over the same
 * sharded batch (:mod:`repro.service.shard`) — a plan slice per host,
   merged back into the unsharded byte stream, resumable per shard;
 * online serving (:mod:`repro.service.serve`) — single pages through
-  the runtime's ``process_page``, under the asyncio stdin front-end or
-  the HTTP ingress (:mod:`repro.service.http`), both sharing one
+  the runtime's ``process_page``, under the stdin loop or the HTTP
+  ingress (:mod:`repro.service.http`), both sharing one
   :class:`~repro.service.serve.ServeHandler` and
   :class:`~repro.service.serve.ServePolicy`; a pre-fork fleet
   (:mod:`repro.service.supervisor`) runs that one HTTP server in every
@@ -69,7 +69,6 @@ from repro.service.runtime import (
     ClusterStats,
     IterablePageSource,
     LoadingPageSource,
-    OrderedEmitter,
     PageSource,
     RuntimeReport,
     StreamingRuntime,
@@ -104,11 +103,10 @@ from repro.service.registry import (
     wrapper_extractor,
 )
 from repro.service.serve import (
-    AsyncLinePipeline,
     ServeHandler,
     ServePolicy,
     ServeStats,
-    serve_async,
+    serve_lines,
 )
 from repro.service.shard import (
     MergeReport,
@@ -148,7 +146,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "ArtifactRegistry",
-    "AsyncLinePipeline",
     "AutomatonStats",
     "CanaryController",
     "CancellationToken",
@@ -178,7 +175,6 @@ __all__ = [
     "LoadingPageSource",
     "MergeReport",
     "NullSink",
-    "OrderedEmitter",
     "PageRecord",
     "PageSource",
     "PromoteEvent",
@@ -217,7 +213,7 @@ __all__ = [
     "parse_exposition",
     "render_metrics_table",
     "restart_backoff",
-    "serve_async",
+    "serve_lines",
     "shard_statuses",
     "slice_body",
     "stable_shard",

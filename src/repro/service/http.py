@@ -26,21 +26,27 @@ Endpoints:
 * ``POST /batch`` — an NDJSON body in (``Content-Length`` or
   ``Transfer-Encoding: chunked``), a **chunked NDJSON stream** out:
   one record line per input line, one HTTP chunk per record (a chunk
-  boundary never splits a record), strictly in input order per
-  connection.  The body is consumed incrementally through the same
-  :class:`~repro.service.serve.AsyncLinePipeline` as the asyncio stdin
-  front-end, so extraction overlaps both the arriving request body and
-  the departing response — with the handler's
-  :class:`~repro.service.serve.ServePolicy` supplying the in-flight
-  bound and the consecutive-undecodable-line cap.
+  boundary never splits a record), in input order.  The body is
+  consumed incrementally: each line is answered and its record sent
+  before the next line is read, with the handler's
+  :class:`~repro.service.serve.ServePolicy` supplying the
+  consecutive-undecodable-line cap.
 * ``GET /healthz`` — liveness plus session counters (served pages,
   requests, connections, drift events/refits).
+
+One execution model: a request line of at most
+:data:`INLINE_LINE_BYTES` is answered on the event loop's own thread,
+and a longer one on a single extraction thread, so that a large page
+never holds up ``/healthz``, ``/metrics``, a signal or another
+connection.  ``handle_line`` holds the GIL, so more threads would add
+no parallelism; a fleet (:mod:`repro.service.supervisor`) adds
+processes.
 
 Connections are persistent per HTTP/1.1 semantics (``Connection:
 close`` honoured; HTTP/1.0 closes unless asked to keep alive).
 Graceful shutdown (:meth:`HttpFrontEnd.shutdown`) closes the listener,
 hangs up idle connections, lets every in-flight request finish and
-drains the extraction pool — no response is ever truncated
+stops the extraction thread — no response is ever truncated
 mid-record.
 """
 
@@ -56,13 +62,12 @@ from typing import Optional
 
 from repro.service.metrics import AdmissionController, AdmissionDecision
 from repro.service.serve import (
-    AsyncLinePipeline,
-    ServeStats,
     contained_handle,
     _adopt_adapter_counts,
     _dumps,
     _metrics_of,
     _policy_of,
+    _undecodable_record,
 )
 from repro.service.sink import make_error_record
 
@@ -100,6 +105,16 @@ _REQUEST_LINE_SEPARATOR = re.compile(f"[{_REQUEST_LINE_SPACE}]+")
 #: Seconds a graceful shutdown waits for in-flight requests before
 #: force-closing their connections.
 DEFAULT_DRAIN_TIMEOUT = 30.0
+
+#: A request line up to this many bytes is answered on the event loop's
+#: own thread; a longer one on the extraction thread, so the loop stays
+#: live.  Serving costs 0.55–0.86 ms per KB (2 vCPU, py3.11: parse,
+#: signature and scoring, all five families), so 8 KiB is about one GIL
+#: switch interval (5 ms), the wait the loop already had whenever
+#: another thread held the GIL.  Inline, a page at the 64 MB body cap
+#: would hold the loop ~50 s, past the supervisor's 5 s ``/healthz``
+#: gather and the drain timeout.  A liveness guard, not a tuning knob.
+INLINE_LINE_BYTES = 8 * 1024
 
 _REASONS = {
     200: "OK",
@@ -483,11 +498,9 @@ class HttpFrontEnd:
     Args:
         handler: the shared :class:`~repro.service.serve.ServeHandler`
             (its :class:`~repro.service.serve.ServePolicy` supplies
-            the in-flight bound and decode-failure cap).
+            the decode-failure cap and the admission limits).
         host, port: bind address; port 0 picks a free port (the bound
             one is on :attr:`port` after :meth:`start`).
-        max_inflight: per-request in-flight bound and extraction-pool
-            size; defaults from the handler's policy.
         max_body_bytes: request-body cap (413 beyond it).
         drain_timeout: seconds :meth:`shutdown` waits for in-flight
             requests before force-closing their connections — a client
@@ -504,8 +517,8 @@ class HttpFrontEnd:
     Lifecycle: ``await start()`` binds and serves in the background;
     :meth:`stop` (thread-safe) releases :meth:`wait_stopped`; ``await
     shutdown()`` closes the listener, finishes in-flight requests,
-    hangs up idle connections, drains the pool and returns the final
-    :class:`HttpStats`.
+    hangs up idle connections, stops the extraction thread and returns
+    the final :class:`HttpStats`.
     """
 
     def __init__(
@@ -513,7 +526,6 @@ class HttpFrontEnd:
         handler,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_inflight: Optional[int] = None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
         sock=None,
@@ -531,11 +543,6 @@ class HttpFrontEnd:
         #: Stamped by the supervisor so an operator hitting the shared
         #: REUSEPORT port can tell which child answered /healthz.
         self.worker_id = worker_id
-        self.max_inflight = (
-            max_inflight if max_inflight is not None else policy.max_inflight
-        )
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         self.max_body_bytes = max_body_bytes
         self.drain_timeout = drain_timeout
         self.stats = HttpStats()
@@ -562,7 +569,9 @@ class HttpFrontEnd:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._extra_servers: list[asyncio.AbstractServer] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
+        #: Answers lines over :data:`INLINE_LINE_BYTES`; created on the
+        #: first one, so a process that never sees one runs one thread.
+        self._extractor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
         self._closing = False
@@ -577,10 +586,6 @@ class HttpFrontEnd:
         """Bind and start accepting connections (non-blocking)."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_inflight,
-            thread_name_prefix="http-serve",
-        )
         if self._sock is not None:
             self._server = await asyncio.start_server(
                 self._on_connection, sock=self._sock
@@ -669,9 +674,9 @@ class HttpFrontEnd:
             # drop, so it comes after the drain: an idle keep-alive
             # client would otherwise hold the shutdown forever.
             await server.wait_closed()
-        if self._pool is not None:
-            self._pool.shutdown(wait=not wedged)
-            self._pool = None
+        if self._extractor is not None:
+            self._extractor.shutdown(wait=not wedged)
+            self._extractor = None
         if drained:
             self.stats.drained_connections += drained
             self._m_drained.inc(drained)
@@ -896,14 +901,10 @@ class HttpFrontEnd:
         raw = await _read_whole_body(body, self.max_body_bytes)
         decoded = _decode_line(raw)
         if isinstance(decoded, UnicodeDecodeError):
-            payload = _error_body(f"undecodable input: {decoded}")
-            served = False
+            line, served = _undecodable_record(decoded)
         else:
-            assert self._loop is not None and self._pool is not None
-            line, served = await self._loop.run_in_executor(
-                self._pool, contained_handle, self.handler, decoded.strip()
-            )
-            payload = (line + "\n").encode("utf-8")
+            line, served = await self._answer(decoded.strip())
+        payload = (line + "\n").encode("utf-8")
         self.stats.pages += 1
         self.stats.served += served
         keep_alive = request.keep_alive and not self._closing
@@ -931,53 +932,48 @@ class HttpFrontEnd:
         def _write_chunk(line: str) -> bool:
             return write(line.encode("utf-8"))
 
-        request_stats = ServeStats()
-        pipeline = AsyncLinePipeline(
-            self.handler, self._pool, _write_chunk, request_stats,
-            max_inflight=self.max_inflight,
-        )
+        max_failures = _policy_of(self.handler).max_decode_failures
+        failures = 0
         clean = True
-        abort_message = None
         try:
             async for item in _body_lines(body):
                 if isinstance(item, UnicodeDecodeError):
-                    if await pipeline.submit_decode_failure(item):
-                        break
-                    continue
-                pipeline.note_read_ok()
-                line = item.strip()
-                if not line:
-                    continue
-                await pipeline.submit(line)
-                # Socket-level backpressure: the in-flight window bounds
-                # memory; draining here bounds the kernel send queue.
+                    failures += 1
+                    record, served = _undecodable_record(item)
+                else:
+                    failures = 0
+                    line = item.strip()
+                    if not line:
+                        continue
+                    record, served = await self._answer(line)
+                # Counted once answered: a drain below may raise
+                # ConnectionResetError on a client that hung up.
+                self.stats.pages += 1
+                if not _write_chunk(record):
+                    clean = False
+                    break
+                self.stats.served += served
+                if failures >= max_failures:
+                    # The stdin loop signals this on stderr + exit
+                    # code; an HTTP client only has the stream, so say
+                    # it there — a truncated batch must never look
+                    # fully processed.
+                    clean = False
+                    _write_chunk(_dumps(make_error_record(
+                        "too many undecodable input lines; giving up"
+                    )))
+                    break
+                # Socket-level backpressure: bounds the kernel send queue.
                 await writer.drain()
         except HttpProtocolError as exc:
             # Mid-stream framing failure (body lies about its chunks,
             # or outgrows the cap): the 200 is gone, so surface it as
-            # a final error record — written after the drain below, so
-            # it lands *after* every in-flight page record and really
-            # is the terminal line — and hang up.
+            # a final error record after every page record, and hang
+            # up.
             self.stats.protocol_errors += 1
             clean = False
-            abort_message = (
-                f"{exc.status} {_REASONS[exc.status]}: {exc.detail}"
-            )
-        finally:
-            # Pages extracted before a client abort (a drain above may
-            # raise ConnectionResetError) must still be accounted.
-            await pipeline.drain()
-            self.stats.pages += pipeline.admitted
-            self.stats.served += request_stats.served
-        if abort_message is not None:
-            _write_chunk(_dumps(make_error_record(abort_message)))
-        if request_stats.gave_up:
-            # The stdin loop signals this on stderr + exit code; an
-            # HTTP client only has the stream, so say it there — a
-            # truncated batch must never look fully processed.
-            clean = False
             _write_chunk(_dumps(make_error_record(
-                "too many undecodable input lines; giving up"
+                f"{exc.status} {_REASONS[exc.status]}: {exc.detail}"
             )))
         if chunked:
             writer.write(b"0\r\n\r\n")
@@ -994,6 +990,26 @@ class HttpFrontEnd:
             and chunked
             and request.keep_alive
             and not self._closing
+        )
+
+    async def _answer(self, line: str) -> tuple[str, bool]:
+        """One request line's ``(record, served)``, where it belongs.
+
+        A line of at most :data:`INLINE_LINE_BYTES` is answered right
+        here, on the event loop's thread; a longer one on the
+        extraction thread while the loop serves everyone else.
+        """
+        # A character is at least one UTF-8 byte, so a line longer in
+        # characters is over the bound without encoding it.
+        if (len(line) <= INLINE_LINE_BYTES
+                and len(line.encode("utf-8")) <= INLINE_LINE_BYTES):
+            return contained_handle(self.handler, line)
+        if self._extractor is None:
+            self._extractor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="http-extract"
+            )
+        return await asyncio.get_running_loop().run_in_executor(
+            self._extractor, contained_handle, self.handler, line
         )
 
     async def _discard_stray_body(self, request, reader) -> None:
@@ -1035,7 +1051,6 @@ class HttpFrontEnd:
             "drained_connections": self.stats.drained_connections,
             "drift_events": 0 if adapter is None else adapter.drift_events,
             "refits": 0 if adapter is None else adapter.refits,
-            "max_inflight": self.max_inflight,
             "registry_version": canary.get("registry_version")
             or getattr(self.handler, "artifact_version", None),
             "shadow_version": canary.get("shadow_version"),

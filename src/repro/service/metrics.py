@@ -149,10 +149,6 @@ METRIC_SPECS: Tuple[MetricSpec, ...] = (
         "Serve requests by outcome (served or error).",
     ),
     MetricSpec(
-        "repro_inflight_pages", "gauge", (),
-        "Pages admitted to an async serve pipeline, not yet emitted.",
-    ),
-    MetricSpec(
         "repro_inflight_requests", "gauge", (),
         "Requests currently holding an admission-control slot.",
     ),

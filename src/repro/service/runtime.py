@@ -22,8 +22,8 @@ feedback, the record).  Both ways in share them:
   extraction exception ends the run when its chunk drains;
 * :meth:`StreamingRuntime.process_page` turns one page into one
   record, an error payload, or nothing.  ``serve``
-  (:mod:`repro.service.serve`) calls it per request, under the
-  ``asyncio`` stdin front-end or the HTTP ingress.
+  (:mod:`repro.service.serve`) calls it per request, under the stdin
+  loop or the HTTP ingress.
 
 ``run()`` only reads pages: it cuts the stream into contiguous chunks
 and drains them first in, first out, so records reach the sink in
@@ -188,56 +188,6 @@ class LoadingPageSource:
             self.index_max = index
             self.yielded += 1
             yield index, page
-
-
-# --------------------------------------------------------------------- #
-# Ordered emission (the stdin serve loop's reorder buffer)
-# --------------------------------------------------------------------- #
-
-
-class OrderedEmitter:
-    """Release payloads in strictly increasing sequence order.
-
-    Producers complete out of order (the stdin serve loop's request
-    tasks finish whenever); this buffer holds a completed payload
-    until every earlier sequence number has been emitted or declared
-    dropped (``None`` — a slot that produces no payload, so gaps never
-    stall the stream).
-
-    Worst-case held-payload count is bounded by the payloads deferred
-    behind the oldest incomplete sequence number — small for balanced
-    streams; held items are slim records or lines, never DOMs.
-    """
-
-    def __init__(self, write: Callable[[object], None]) -> None:
-        self._write = write
-        self._next = 0
-        self._held: Dict[int, Optional[object]] = {}
-
-    def emit(self, seq: int, payload: Optional[object]) -> None:
-        """Hand over a sequence slot's outcome: a payload, or ``None``.
-
-        Each sequence slot may be filled exactly once: re-emitting a
-        released or still-held sequence means two producers claimed the
-        same slot (a duplicated record, or a lost+retried chunk) and
-        would silently drop or reorder output — it raises instead.
-        """
-        if seq < self._next or seq in self._held:
-            raise ValueError(
-                f"sequence {seq} emitted twice "
-                f"(next unreleased: {self._next})"
-            )
-        self._held[seq] = payload
-        while self._next in self._held:
-            released = self._held.pop(self._next)
-            self._next += 1
-            if released is not None:
-                self._write(released)
-
-    @property
-    def held(self) -> int:
-        """Records currently buffered awaiting their turn."""
-        return len(self._held)
 
 
 # --------------------------------------------------------------------- #

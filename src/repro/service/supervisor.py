@@ -1003,8 +1003,9 @@ class _FleetPort(HttpFrontEnd):
     Its handler is the supervisor; only the endpoint bodies differ from
     a child's.  ``/healthz`` and ``/metrics`` aggregate the fleet; in
     gateway mode ``/extract`` goes to one child and ``/batch`` is fanned
-    across all, while a status port answers both with 404.  The
-    extraction pool stays unused: restarts fork from this process, which
+    across all, while a status port answers both with 404.  Overriding
+    both endpoints keeps :meth:`HttpFrontEnd._answer` from ever creating
+    its extraction thread here: restarts fork from this process, which
     must never start a thread.
     """
 

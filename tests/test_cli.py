@@ -750,7 +750,7 @@ def test_shard_merge_incomplete_set_fails(served_site, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# serve --max-inflight 1: one line read, extracted and written at a time
+# serve: one line read, extracted and written at a time
 # --------------------------------------------------------------------- #
 
 
@@ -767,7 +767,7 @@ def test_serve_sync_loop_matches_async_records(served_site, capsys,
     )
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main([
-        "serve", "--max-inflight", "1", "--repository", str(repo_path),
+        "serve", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 0
     captured = capsys.readouterr()
@@ -803,7 +803,7 @@ def test_serve_sync_handles_bad_input_and_decode_errors(served_site, capsys,
         good + "\n",
     ]))
     assert main([
-        "serve", "--max-inflight", "1", "--repository", str(repo_path),
+        "serve", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -824,7 +824,7 @@ def test_serve_sync_persistent_decode_failure_gives_up(served_site, capsys,
     monkeypatch.setattr("sys.stdin", BrokenStdin())
     monkeypatch.setattr("repro.service.serve.MAX_DECODE_FAILURES", 2)
     assert main([
-        "serve", "--max-inflight", "1", "--repository", str(repo_path),
+        "serve", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 1
     captured = capsys.readouterr()
@@ -846,7 +846,7 @@ def test_serve_sync_consumer_closing_output_is_clean(served_site, capsys,
     monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
     monkeypatch.setattr("sys.stdout", ClosedPipe())
     assert main([
-        "serve", "--max-inflight", "1", "--repository", str(repo_path),
+        "serve", "--repository", str(repo_path),
         "--cluster", "imdb-movies",
     ]) == 0
     err = capsys.readouterr().err
@@ -1002,16 +1002,6 @@ def test_shard_resume_rejects_missing_plan(tmp_path, capsys):
     ]) == 2
 
 
-def test_serve_rejects_bad_max_inflight(served_site, capsys, monkeypatch):
-    _, repo_path = served_site
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    assert main([
-        "serve", "--repository", str(repo_path),
-        "--cluster", "imdb-movies", "--max-inflight", "0",
-    ]) == 2
-    assert "--max-inflight" in capsys.readouterr().err
-
-
 def test_serve_rejects_unknown_cluster(served_site, capsys):
     _, repo_path = served_site
     assert main([
@@ -1082,7 +1072,7 @@ def test_serve_adapt_sync_loop_reports_drift(served_site, capsys,
     monkeypatch.setattr("sys.stdin", io.StringIO(_serve_requests(site_dir)))
     assert main([
         "serve", "--repository", str(repo_path),
-        "--exemplars-dir", str(site_dir), "--adapt", "--max-inflight", "1",
+        "--exemplars-dir", str(site_dir), "--adapt",
     ]) == 0
     assert "drift: 0 event(s), 0 refit(s)" in capsys.readouterr().err
 

@@ -1,6 +1,5 @@
 """Online adaptation: drift detection, refit lifecycle, serve recovery."""
 
-import asyncio
 import io
 import json
 import random
@@ -17,7 +16,7 @@ from repro.service.adapt import (
     make_adapter,
 )
 from repro.service.router import UNROUTABLE, ClusterProfile, ClusterRouter
-from repro.service.serve import ServeHandler, serve_async
+from repro.service.serve import ServeHandler, serve_lines
 from repro.sites.page import WebPage
 from repro.sites.variation import DEPTH_COMPONENTS, generate_depth_cluster
 
@@ -664,15 +663,13 @@ def depth_repository(depth_corpus):
 
 
 def _serve_replay(handler, pages) -> tuple:
-    """Run pages through the async serve loop; returns (stats, outputs)."""
+    """Run pages through the stdin serve loop; returns (stats, outputs)."""
     text = "".join(
         json.dumps({"url": page.url, "html": page.html}) + "\n"
         for page in pages
     )
     stdout = io.StringIO()
-    stats = asyncio.run(serve_async(
-        handler, io.StringIO(text), stdout, max_inflight=1,
-    ))
+    stats = serve_lines(handler, io.StringIO(text), stdout)
     outputs = [
         json.loads(line) for line in stdout.getvalue().strip().splitlines()
     ]
@@ -738,12 +735,10 @@ class TestServeDriftRegression:
             json.dumps({"url": page.url, "html": page.html}) + "\n"
             for page in calm
         )
-        asyncio.run(serve_async(
-            frozen_handler, io.StringIO(stream_text), frozen_text,
-        ))
-        stats = asyncio.run(serve_async(
+        serve_lines(frozen_handler, io.StringIO(stream_text), frozen_text)
+        stats = serve_lines(
             adaptive_handler, io.StringIO(stream_text), adaptive_text,
-        ))
+        )
         assert stats.refits == 0
         assert adaptive_text.getvalue() == frozen_text.getvalue()
 

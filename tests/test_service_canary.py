@@ -24,7 +24,7 @@ from repro.service.router import (
     ClusterRouter,
     _profile_from_signatures,
 )
-from repro.service.serve import ServeHandler, serve_async
+from repro.service.serve import ServeHandler, serve_lines
 from repro.sites.variation import DEPTH_COMPONENTS, generate_depth_cluster
 
 
@@ -388,9 +388,7 @@ def _serve_replay(handler, pages) -> tuple:
         for page in pages
     )
     stdout = io.StringIO()
-    stats = asyncio.run(serve_async(
-        handler, io.StringIO(text), stdout, max_inflight=1,
-    ))
+    stats = serve_lines(handler, io.StringIO(text), stdout)
     outputs = [
         json.loads(line) for line in stdout.getvalue().strip().splitlines()
     ]

@@ -1,14 +1,21 @@
 """The HTTP front-end: protocol layer, byte-identity, shutdown."""
 
 import asyncio
+import http.client
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.service.http import HttpFrontEnd
-from repro.service.serve import ServeHandler, ServePolicy, serve_async
+from repro.service.http import INLINE_LINE_BYTES, HttpFrontEnd
+from repro.service.serve import ServeHandler, ServePolicy, serve_lines
 from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.service.sink import JsonlSink
 
@@ -23,12 +30,11 @@ def _line(page) -> str:
 
 
 def _sync_stdin_loop_output(handler, lines: list[str]) -> str:
-    """What the stdin front-end writes, one page in flight at a time."""
+    """What the stdin front-end writes for the same lines."""
     stdout = io.StringIO()
-    asyncio.run(serve_async(
-        handler, io.StringIO("".join(line + "\n" for line in lines)), stdout,
-        max_inflight=1,
-    ))
+    serve_lines(
+        handler, io.StringIO("".join(line + "\n" for line in lines)), stdout
+    )
     return stdout.getvalue()
 
 
@@ -92,8 +98,7 @@ def _with_front_end(handler, scenario, **front_kwargs):
     return asyncio.run(_main())
 
 
-def http_batch_lines(handler, lines: list[str],
-                     **front_kwargs) -> list[str]:
+def http_batch_lines(handler, lines: list[str]) -> list[str]:
     """POST lines to ``/batch``; the response's NDJSON lines.
 
     Shared with the cross-front-end parametrization in
@@ -110,7 +115,7 @@ def http_batch_lines(handler, lines: list[str],
         assert headers["content-type"].startswith("application/x-ndjson")
         return payload.decode("utf-8").splitlines()
 
-    result, _ = _with_front_end(handler, scenario, **front_kwargs)
+    result, _ = _with_front_end(handler, scenario)
     return result
 
 
@@ -754,20 +759,6 @@ class TestBatchStreaming:
         )
         assert "giving up" in json.loads(out_lines[2])["error"]
 
-    def test_batch_holds_max_inflight_pages_concurrently(self):
-        barrier = threading.Barrier(4)
-
-        class BarrierHandler:
-            def handle_line(self, line):
-                barrier.wait(timeout=10)
-                return line, True
-
-        lines = [f"page-{i}" for i in range(4)]
-        out_lines = http_batch_lines(
-            BarrierHandler(), lines, max_inflight=4
-        )
-        assert out_lines == lines
-
     def test_mid_stream_framing_error_marker_comes_last(
         self, handler, service_site
     ):
@@ -893,23 +884,32 @@ class TestShutdown:
         lines = [f"page-{i}" for i in range(4)]
         body = "".join(line + "\n" for line in lines).encode("utf-8")
 
+        request = _post("/batch", body)
+        # The head and the first two lines now, the rest after the
+        # shutdown has begun: the batch is mid-stream when it does.
+        split = len(request) - len(body) + len("page-0\npage-1\n")
+
         async def _main():
-            front = HttpFrontEnd(SlowHandler(), "127.0.0.1", 0,
-                                 max_inflight=2)
+            front = HttpFrontEnd(SlowHandler(), "127.0.0.1", 0)
             await front.start()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", front.port
             )
-            writer.write(_post("/batch", body))
+            writer.write(request[:split])
             await writer.drain()
+            # page-0 holds the event loop it is answered on, so only
+            # another thread can release it.
+            threading.Timer(0.2, release.set).start()
             await asyncio.get_running_loop().run_in_executor(
                 None, entered.wait, 10
             )
-            # Shut down while pages are mid-extraction; the response
+            # Shut down while the batch is mid-stream; the response
             # must still complete in full, never truncated mid-record.
             shutdown = asyncio.ensure_future(front.shutdown())
             await asyncio.sleep(0.05)
-            release.set()
+            assert not shutdown.done()  # held open by the busy batch
+            writer.write(request[split:])
+            await writer.drain()
             status, _, payload = await _read_response(reader)
             stats = await shutdown
             writer.close()
@@ -940,7 +940,7 @@ class TestShutdown:
 
         async def _main():
             front = HttpFrontEnd(LoudHandler(), "127.0.0.1", 0,
-                                 max_inflight=2, drain_timeout=0.3)
+                                 drain_timeout=0.3)
             await front.start()
             _, writer = await asyncio.open_connection(
                 "127.0.0.1", front.port
@@ -995,9 +995,187 @@ class TestShutdown:
         assert asyncio.run(_main())
 
 
-def test_invalid_inflight_rejected(handler):
-    with pytest.raises(ValueError):
-        HttpFrontEnd(handler, max_inflight=0)
+# --------------------------------------------------------------------- #
+# One execution model: short lines on the loop, long ones off it
+# --------------------------------------------------------------------- #
+
+
+class _ThreadRecordingHandler:
+    """Echoes each line as a record, noting the thread that answered."""
+
+    def __init__(self):
+        self.threads = []
+
+    def handle_line(self, line):
+        self.threads.append(threading.get_ident())
+        return json.dumps({"line": line}), True
+
+
+def _get(path: str) -> bytes:
+    return f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode("latin-1")
+
+
+class TestExecutionModel:
+    @pytest.mark.parametrize("endpoint", ("/extract", "/batch"))
+    def test_a_short_line_runs_on_the_loop_thread(self, endpoint):
+        recorder = _ThreadRecordingHandler()
+        lines = ["x" * INLINE_LINE_BYTES]  # at the bound, still inline
+        if endpoint == "/batch":
+            lines.append("page-1")
+        body = "\n".join(lines).encode("utf-8")
+
+        async def scenario(front):
+            status, _, payload = await _roundtrip(
+                front.port, _post(endpoint, body)
+            )
+            assert front._extractor is None
+            return status, payload, threading.get_ident()
+
+        (status, payload, loop_thread), _ = _with_front_end(
+            recorder, scenario
+        )
+        assert status == 200
+        assert [json.loads(line)["line"]
+                for line in payload.decode("utf-8").splitlines()] == lines
+        assert recorder.threads == [loop_thread] * len(lines)
+
+    @pytest.mark.parametrize("line", (
+        "x" * (INLINE_LINE_BYTES + 1),
+        # Fewer characters than the bound, but more UTF-8 bytes.
+        "\u00e9" * (INLINE_LINE_BYTES // 2 + 1),
+    ), ids=("ascii", "multibyte"))
+    def test_a_line_over_the_bound_runs_off_the_loop(self, line):
+        recorder = _ThreadRecordingHandler()
+
+        async def scenario(front):
+            answers = [
+                await _roundtrip(
+                    front.port, _post(endpoint, line.encode("utf-8"))
+                )
+                for endpoint in ("/extract", "/batch")
+            ]
+            return answers, threading.get_ident()
+
+        (answers, loop_thread), _ = _with_front_end(recorder, scenario)
+        for status, _, payload in answers:
+            assert status == 200
+            assert json.loads(payload) == {"line": line}
+        first, second = recorder.threads
+        assert first == second != loop_thread  # one extraction thread
+
+    def test_a_long_line_leaves_the_loop_free(self):
+        release = threading.Event()
+        entered = []
+
+        class BlockingHandler:
+            def handle_line(self, line):
+                entered.append(time.perf_counter())
+                release.wait(timeout=5)
+                return json.dumps({"bytes": len(line)}), True
+
+        long_line = "x" * (INLINE_LINE_BYTES + 1)
+
+        async def scenario(front):
+            long_request = asyncio.ensure_future(_roundtrip(
+                front.port, _post("/extract", long_line.encode("utf-8"))
+            ))
+            while not entered:
+                await asyncio.sleep(0.01)
+            try:
+                health = await asyncio.wait_for(
+                    _roundtrip(front.port, _get("/healthz")), timeout=5
+                )
+                answered = time.perf_counter()
+            finally:
+                release.set()
+            return health, answered - entered[0], await long_request
+
+        ((status, _, health), seconds, (long_status, _, record)), _ = \
+            _with_front_end(BlockingHandler(), scenario)
+        assert status == 200 and json.loads(health)["status"] == "ok"
+        assert seconds < 1  # answered while the long line was blocked
+        assert long_status == 200
+        assert json.loads(record) == {"bytes": INLINE_LINE_BYTES + 1}
+
+    def test_a_long_line_answers_the_same_bytes(self, handler, service_site):
+        page = service_site.pages_with_hint("imdb-movies")[0]
+        padded = json.dumps({
+            "url": page.url,
+            "html": page.html + "<!-- " + "x" * INLINE_LINE_BYTES + " -->",
+        })
+        lines = [padded, _line(page), padded]
+        expected = _sync_stdin_loop_output(handler, lines)
+        assert http_batch_lines(handler, lines) == expected.splitlines()
+
+        async def scenario(front):
+            return await _roundtrip(
+                front.port, _post("/extract", padded.encode("utf-8"))
+            )
+
+        (status, _, body), _ = _with_front_end(handler, scenario)
+        assert status == 200
+        assert body.decode("utf-8") == expected.splitlines()[0] + "\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/<pid>/task")
+    def test_a_serve_process_runs_one_thread_until_a_long_line(
+        self, service_repository, service_site, tmp_path
+    ):
+        repo_path = tmp_path / "rules.json"
+        service_repository.save(str(repo_path))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--repository", str(repo_path), "--cluster", "imdb-movies",
+             "--http", "127.0.0.1:0"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, env=env,
+        )
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        page = service_site.pages_with_hint("imdb-movies")[0]
+        short = _line(page).encode("utf-8")
+        long = json.dumps({
+            "url": page.url,
+            "html": page.html + "<!-- " + "x" * INLINE_LINE_BYTES + " -->",
+        }).encode("utf-8")
+
+        def threads() -> int:
+            return len(os.listdir(f"/proc/{proc.pid}/task"))
+
+        try:
+            banner = proc.stderr.readline().decode("utf-8")
+            assert banner.startswith("serving HTTP on "), banner
+            port = int(banner.rsplit(":", 1)[1])
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            for path, body in (("/extract", short), ("/batch", short * 2),
+                               ("/healthz", None)):
+                connection.request("GET" if body is None else "POST",
+                                   path, body=body)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            before = threads()
+            connection.request("POST", "/extract", body=long)
+            response = connection.getresponse()
+            assert json.loads(response.read())["url"] == page.url
+            after = threads()
+            connection.close()
+            proc.send_signal(signal.SIGTERM)
+            returncode = proc.wait(timeout=30)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert (before, after) == (1, 2)
+        assert returncode == 0
 
 
 def test_stop_before_start_is_a_noop(handler):

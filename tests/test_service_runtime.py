@@ -1,10 +1,9 @@
-"""The streaming runtime: sources, ordered emission, executors, one page."""
+"""The streaming runtime: sources, executors, one page."""
 
 import dataclasses
 import glob
 import json
 import os
-import random
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -19,7 +18,6 @@ from repro.service.metrics import MetricsRegistry, parse_exposition
 from repro.service.runtime import (
     IterablePageSource,
     LoadingPageSource,
-    OrderedEmitter,
     StreamingRuntime,
     _ChunkWorker,
     _init_process_worker,
@@ -29,132 +27,6 @@ from repro.service.sink import CollectingSink, PageRecord
 from repro.sites.page import WebPage
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def _record(index: int) -> PageRecord:
-    return PageRecord(url=f"http://x/{index}", cluster="c", index=index)
-
-
-class TestOrderedEmitter:
-    """The reorder buffer under adversarial completion orders."""
-
-    def test_reverse_completion_order(self):
-        out = []
-        emitter = OrderedEmitter(out.append)
-        records = [_record(i) for i in range(10)]
-        for seq in reversed(range(1, 10)):
-            emitter.emit(seq, records[seq])
-            assert out == []  # nothing may leave before seq 0
-        assert emitter.held == 9
-        emitter.emit(0, records[0])
-        assert [r.index for r in out] == list(range(10))
-        assert emitter.held == 0
-
-    def test_interleaved_completion_order(self):
-        order = [3, 0, 4, 1, 6, 2, 5, 9, 7, 8]
-        out = []
-        emitter = OrderedEmitter(out.append)
-        for seq in order:
-            emitter.emit(seq, _record(seq))
-            # Whatever has left so far is a strictly ordered prefix.
-            assert [r.index for r in out] == list(range(len(out)))
-        assert [r.index for r in out] == list(range(10))
-        assert emitter.held == 0
-
-    def test_failure_gaps_do_not_stall_the_stream(self):
-        # Even sequence numbers are dropped outcomes (unroutable
-        # pages): the buffer must release past them without emitting
-        # anything.
-        out = []
-        emitter = OrderedEmitter(out.append)
-        seqs = list(range(20))
-        random.Random(5).shuffle(seqs)
-        for seq in seqs:
-            emitter.emit(seq, None if seq % 2 == 0 else _record(seq))
-        assert [r.index for r in out] == list(range(1, 20, 2))
-        assert emitter.held == 0
-
-    def test_all_gaps_stream_emits_nothing(self):
-        out = []
-        emitter = OrderedEmitter(out.append)
-        for seq in reversed(range(5)):
-            emitter.emit(seq, None)
-        assert out == []
-        assert emitter.held == 0
-
-    def test_in_order_completion_is_passthrough(self):
-        out = []
-        emitter = OrderedEmitter(out.append)
-        for seq in range(5):
-            emitter.emit(seq, _record(seq))
-            assert emitter.held == 0
-        assert len(out) == 5
-
-    # -- error payloads at boundary sequences --------------------------- #
-    # The serve pipeline routes error lines through the same reorder
-    # buffer as records; the boundary slots are where release/hold
-    # logic can go wrong.
-
-    def test_error_payload_at_first_sequence_arrives_last(self):
-        out = []
-        emitter = OrderedEmitter(out.append)
-        for seq in (3, 1, 2):
-            emitter.emit(seq, _record(seq))
-        assert out == []  # everything dammed behind sequence 0
-        error = {"error": "boom", "url": "http://x/0"}
-        emitter.emit(0, error)
-        assert out[0] is error
-        assert [r.index for r in out[1:]] == [1, 2, 3]
-        assert emitter.held == 0
-
-    def test_error_payload_at_last_sequence_is_held(self):
-        out = []
-        emitter = OrderedEmitter(out.append)
-        error = {"error": "boom", "url": "http://x/4"}
-        emitter.emit(4, error)
-        assert out == [] and emitter.held == 1
-        for seq in (2, 0, 3, 1):
-            emitter.emit(seq, _record(seq))
-        assert out[-1] is error
-        assert [r.index for r in out[:-1]] == [0, 1, 2, 3]
-
-    def test_errors_interleaved_with_drops_at_both_boundaries(self):
-        # First and last slots are errors, the middle mixes records
-        # and dropped outcomes, completion order is adversarial.
-        out = []
-        emitter = OrderedEmitter(out.append)
-        first, last = {"error": "first"}, {"error": "last"}
-        emitter.emit(5, last)
-        emitter.emit(3, None)          # dropped outcome mid-stream
-        emitter.emit(1, _record(1))
-        emitter.emit(4, _record(4))
-        assert out == []
-        emitter.emit(0, first)
-        emitter.emit(2, _record(2))
-        assert out[0] is first and out[-1] is last
-        assert [r.index for r in out[1:-1]] == [1, 2, 4]
-        assert emitter.held == 0
-
-    def test_duplicate_sequence_while_held_rejected(self):
-        emitter = OrderedEmitter(lambda payload: None)
-        emitter.emit(2, _record(2))
-        with pytest.raises(ValueError, match="emitted twice"):
-            emitter.emit(2, {"error": "impostor"})
-
-    def test_duplicate_sequence_after_release_rejected(self):
-        out = []
-        emitter = OrderedEmitter(out.append)
-        emitter.emit(0, {"error": "first"})
-        assert len(out) == 1
-        with pytest.raises(ValueError, match="emitted twice"):
-            emitter.emit(0, _record(0))
-        # A dropped (None) slot is released too: its seq is also spent.
-        emitter.emit(1, None)
-        with pytest.raises(ValueError, match="emitted twice"):
-            emitter.emit(1, _record(1))
-        # The stream continues past the rejected duplicates.
-        emitter.emit(2, _record(2))
-        assert len(out) == 2
 
 
 class TestSources:

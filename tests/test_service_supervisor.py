@@ -25,7 +25,7 @@ import pytest
 from repro.core.builder import MappingRuleBuilder
 from repro.core.oracle import ScriptedOracle
 from repro.core.repository import RuleRepository
-from repro.service.http import HttpFrontEnd
+from repro.service.http import INLINE_LINE_BYTES, HttpFrontEnd
 from repro.service.serve import ServeHandler
 from repro.service.supervisor import (
     RESTART_BACKOFF_CAP,
@@ -717,6 +717,51 @@ class TestSupervisorInProcess:
                 assert headers["allow"] == "POST"
                 assert "error" in json.loads(body)
                 assert sup.stats.protocol_errors == 2
+            finally:
+                await sup.shutdown()
+
+        asyncio.run(run())
+
+    def test_the_gateway_port_never_starts_an_extraction_thread(
+        self, service_site, service_repository
+    ):
+        # Restarts fork from the supervisor: its own port must forward
+        # even a long line without creating HttpFrontEnd's extraction
+        # thread (the children answer it on theirs).
+        page = service_site.pages_with_hint("imdb-movies")[0]
+        long_line = json.dumps({
+            "url": page.url,
+            "html": page.html + "<!-- " + "x" * INLINE_LINE_BYTES + " -->",
+        }).encode("utf-8")
+        body = self._ndjson(service_site, 2) + long_line + b"\n"
+        expected = _single_process_batch(
+            service_repository, "imdb-movies", body
+        )
+
+        async def run():
+            handler = ServeHandler(
+                service_repository, cluster="imdb-movies"
+            )
+            sup = ServeSupervisor(handler, workers=1, gateway=True)
+            await sup.start()
+            try:
+                status, _, payload = await self._fetch(
+                    sup.port, _batch_request(body)
+                )
+                assert status == 200
+                assert payload == expected
+                status, _, one = await self._fetch(sup.port, (
+                    b"POST /extract HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\nConnection: close\r\n\r\n"
+                    % len(long_line)
+                ) + long_line)
+                assert status == 200
+                assert one == expected.splitlines(keepends=True)[-1]
+                assert sup._front._extractor is None
+                assert not [
+                    thread for thread in threading.enumerate()
+                    if thread.name.startswith("http-extract")
+                ]
             finally:
                 await sup.shutdown()
 

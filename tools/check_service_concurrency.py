@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """AST lint: blocking calls inside ``async def`` under repro.service.
 
-The service layer mixes three concurrency regimes — asyncio event
-loops (serve/http), thread pools, and a pre-fork supervisor — and the
-bugs that cross them are invisible to unit tests: a ``time.sleep`` in
+The service layer mixes three concurrency regimes — the HTTP
+front-end's asyncio event loop (with one extraction thread for long
+request lines), the batch runtime's process pool, and a pre-fork
+supervisor — and the bugs that cross them are invisible to unit tests: a ``time.sleep`` in
 a coroutine stalls every connection on the loop, and a ``fork`` after
 threads have started deadlocks child processes on inherited locks.
 This checker walks the ASTs under ``src/repro/service/`` and flags:
