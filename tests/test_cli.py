@@ -1002,6 +1002,41 @@ def test_shard_resume_rejects_missing_plan(tmp_path, capsys):
     ]) == 2
 
 
+def test_serve_rejects_the_removed_max_inflight_flag(capsys):
+    # The stdin loop and the HTTP front-end hold no in-flight window:
+    # a script still passing the old flag fails loudly, not silently.
+    with pytest.raises(SystemExit) as exited:
+        main([
+            "serve", "--repository", "rules.json", "--cluster", "imdb-movies",
+            "--max-inflight", "8",
+        ])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --max-inflight 8" in (
+        capsys.readouterr().err
+    )
+
+
+def test_serve_stdin_starts_no_event_loop_and_no_thread(served_site, capsys,
+                                                        monkeypatch):
+    site_dir, repo_path = served_site
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stdin front-end needs neither")
+
+    monkeypatch.setattr("asyncio.run", refuse)
+    monkeypatch.setattr("asyncio.events.new_event_loop", refuse)
+    monkeypatch.setattr("threading.Thread.start", refuse)
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO(_serve_requests(site_dir, count=2))
+    )
+    assert main([
+        "serve", "--repository", str(repo_path), "--cluster", "imdb-movies",
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "served 2 page(s)" in captured.err
+    assert len(captured.out.splitlines()) == 2
+
+
 def test_serve_rejects_unknown_cluster(served_site, capsys):
     _, repo_path = served_site
     assert main([

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.service.http import INLINE_LINE_BYTES, HttpFrontEnd
+from repro.service.metrics import MetricsRegistry, parse_exposition
 from repro.service.serve import ServeHandler, ServePolicy, serve_lines
 from repro.service.runtime import IterablePageSource, StreamingRuntime
 from repro.service.sink import JsonlSink
@@ -119,6 +120,30 @@ def http_batch_lines(handler, lines: list[str]) -> list[str]:
     return result
 
 
+def http_extract_lines(handler, lines: list[str]) -> list[str]:
+    """POST each line to ``/extract`` on one keep-alive connection.
+
+    The records, in order: the per-request counterpart of
+    :func:`http_batch_lines`, shared with the same parametrization.
+    """
+    async def scenario(front):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", front.port
+        )
+        records = []
+        for line in lines:
+            writer.write(_post("/extract", line.encode("utf-8")))
+            await writer.drain()
+            status, _, payload = await _read_response(reader)
+            assert status == 200
+            records.extend(payload.decode("utf-8").splitlines())
+        writer.close()
+        return records
+
+    result, _ = _with_front_end(handler, scenario)
+    return result
+
+
 # --------------------------------------------------------------------- #
 # Byte identity with the other front-ends
 # --------------------------------------------------------------------- #
@@ -197,6 +222,37 @@ class TestByteIdentity:
             batch_record = json.loads(batch_line)
             batch_record.pop("index")
             assert json.loads(http_line) == batch_record
+
+    @pytest.mark.parametrize("endpoint", ("/extract", "/batch"))
+    def test_undecodable_body_matches_the_stdin_record(
+        self, endpoint, handler
+    ):
+        # Every front-end words a line that is not UTF-8 the same way,
+        # down to the byte.
+        raw = b"\xff\xfe{bad"
+        with pytest.raises(UnicodeDecodeError) as caught:
+            raw.decode("utf-8")
+
+        class UndecodableOnce:
+            def __init__(self):
+                self.reads = 0
+
+            def readline(self):
+                self.reads += 1
+                if self.reads == 1:
+                    raise caught.value
+                return ""
+
+        expected = io.StringIO()
+        serve_lines(handler, UndecodableOnce(), expected)
+
+        async def scenario(front):
+            return await _roundtrip(front.port, _post(endpoint, raw))
+
+        (status, _, body), _ = _with_front_end(handler, scenario)
+        assert status == 200
+        assert body.decode("utf-8") == expected.getvalue()
+        assert "undecodable input" in expected.getvalue()
 
 
 # --------------------------------------------------------------------- #
@@ -1000,6 +1056,14 @@ class TestShutdown:
 # --------------------------------------------------------------------- #
 
 
+async def _until(condition, timeout: float = 5.0) -> None:
+    """Yield to the loop until ``condition()`` holds (or fail)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
 class _ThreadRecordingHandler:
     """Echoes each line as a record, noting the thread that answered."""
 
@@ -1176,6 +1240,248 @@ class TestExecutionModel:
             proc.stderr.close()
         assert (before, after) == (1, 2)
         assert returncode == 0
+
+    def test_a_batch_keeps_input_order_across_inline_and_long_lines(self):
+        # Long lines hop to the extraction thread and take longer than
+        # the short lines after them; every record still comes back
+        # where its line was.
+        class SlowLongLines(_ThreadRecordingHandler):
+            def handle_line(self, line):
+                if len(line) > INLINE_LINE_BYTES:
+                    time.sleep(0.05)
+                return super().handle_line(line)
+
+        recorder = SlowLongLines()
+        long_a = "a" * (INLINE_LINE_BYTES + 1)
+        long_b = "b" * (INLINE_LINE_BYTES + 1)
+        lines = ["page-0", long_a, "page-2", long_b, "page-4"]
+        out_lines = http_batch_lines(recorder, lines)
+        assert [json.loads(line)["line"] for line in out_lines] == lines
+        loop_thread = threading.get_ident()
+        threads = recorder.threads
+        assert [threads[0], threads[2], threads[4]] == [loop_thread] * 3
+        assert threads[1] == threads[3] != loop_thread
+
+    def test_a_short_line_is_answered_while_a_long_line_is_blocked(self):
+        # An inline line and a long line may run at the same time: a
+        # short /extract on another connection is answered on the loop
+        # while the extraction thread is still inside the handler.
+        release = threading.Event()
+        blocked = threading.Event()
+
+        class BlockingLongLines:
+            def handle_line(self, line):
+                if len(line) > INLINE_LINE_BYTES:
+                    blocked.set()
+                    release.wait(timeout=5)
+                return json.dumps({"bytes": len(line)}), True
+
+        long_line = "x" * (INLINE_LINE_BYTES + 1)
+
+        async def scenario(front):
+            long_request = asyncio.ensure_future(_roundtrip(
+                front.port, _post("/extract", long_line.encode("utf-8"))
+            ))
+            try:
+                await _until(blocked.is_set)
+                short = await asyncio.wait_for(_roundtrip(
+                    front.port, _post("/extract", b"page-1")
+                ), timeout=5)
+                overlapped = not long_request.done()
+            finally:
+                release.set()
+            return short, overlapped, await long_request
+
+        ((status, _, record), overlapped, (long_status, _, long_record)), \
+            _ = _with_front_end(BlockingLongLines(), scenario)
+        assert status == 200
+        assert json.loads(record) == {"bytes": len("page-1")}
+        assert overlapped
+        assert long_status == 200
+        assert json.loads(long_record) == {"bytes": INLINE_LINE_BYTES + 1}
+
+    def test_metrics_answer_while_a_long_line_is_blocked(self):
+        release = threading.Event()
+        blocked = threading.Event()
+
+        class BlockingHandler:
+            metrics = MetricsRegistry()
+
+            def handle_line(self, line):
+                blocked.set()
+                release.wait(timeout=5)
+                return json.dumps({"bytes": len(line)}), True
+
+        long_line = "x" * (INLINE_LINE_BYTES + 1)
+
+        async def scenario(front):
+            long_request = asyncio.ensure_future(_roundtrip(
+                front.port, _post("/extract", long_line.encode("utf-8"))
+            ))
+            try:
+                await _until(blocked.is_set)
+                scrape = await asyncio.wait_for(
+                    _roundtrip(front.port, _get("/metrics")), timeout=5
+                )
+            finally:
+                release.set()
+            return scrape, await long_request
+
+        ((status, headers, text), (long_status, _, _)), _ = \
+            _with_front_end(BlockingHandler(), scenario)
+        assert status == 200
+        assert headers["content-type"].startswith("text/plain")
+        gauge = parse_exposition(text.decode("utf-8"))[
+            "repro_http_open_connections"
+        ]
+        # The blocked request's connection, and the scrape's own.
+        assert gauge["repro_http_open_connections"] == 2.0
+        assert long_status == 200
+
+    def test_concurrent_long_lines_share_one_extraction_thread(self):
+        lock = threading.Lock()
+        active, peak, threads = [0], [0], []
+
+        class CountingHandler:
+            def handle_line(self, line):
+                with lock:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                    threads.append(threading.get_ident())
+                time.sleep(0.05)
+                with lock:
+                    active[0] -= 1
+                return json.dumps({"line": line[0]}), True
+
+        long_lines = [c * (INLINE_LINE_BYTES + 1) for c in "abc"]
+
+        async def scenario(front):
+            answers = await asyncio.gather(*(
+                _roundtrip(front.port, _post("/extract", line.encode()))
+                for line in long_lines
+            ))
+            return answers, threading.get_ident()
+
+        (answers, loop_thread), _ = _with_front_end(
+            CountingHandler(), scenario
+        )
+        assert [json.loads(body)["line"] for _, _, body in answers] == [
+            "a", "b", "c"
+        ]
+        assert peak[0] == 1  # one at a time, on one thread
+        assert len(set(threads)) == 1
+        assert loop_thread not in threads
+
+    def test_shutdown_stops_the_extraction_thread(self):
+        recorder = _ThreadRecordingHandler()
+        long_line = "x" * (INLINE_LINE_BYTES + 1)
+
+        async def scenario(front):
+            await _roundtrip(
+                front.port, _post("/extract", long_line.encode("utf-8"))
+            )
+            (extraction_thread,) = recorder.threads
+            return [
+                thread for thread in threading.enumerate()
+                if thread.ident == extraction_thread
+            ]
+
+        (running, front) = _with_front_end(recorder, scenario)
+        assert len(running) == 1  # alive until the shutdown...
+        assert not running[0].is_alive()  # ...and joined by it
+        assert front._extractor is None
+
+    @pytest.mark.parametrize("endpoint", ("/extract", "/batch"))
+    def test_whitespace_around_a_line_does_not_count_toward_the_bound(
+        self, endpoint
+    ):
+        # The bound applies to the line as answered, after the same
+        # strip the stdin loop applies.
+        recorder = _ThreadRecordingHandler()
+        line = "x" * INLINE_LINE_BYTES
+        body = ("  " + line + " \t\r\n").encode("utf-8")
+
+        async def scenario(front):
+            status, _, payload = await _roundtrip(
+                front.port, _post(endpoint, body)
+            )
+            return status, payload, threading.get_ident()
+
+        (status, payload, loop_thread), front = _with_front_end(
+            recorder, scenario
+        )
+        assert status == 200
+        assert json.loads(payload) == {"line": line}
+        assert recorder.threads == [loop_thread]
+        assert front._extractor is None
+
+    def test_a_crash_on_the_extraction_thread_becomes_an_error_record(self):
+        # Containment holds off the loop too, and the thread that
+        # caught the crash answers the next long line.
+        class CrashesOnce(_ThreadRecordingHandler):
+            crashed = False
+
+            def handle_line(self, line):
+                if not self.crashed:
+                    self.crashed = True
+                    self.threads.append(threading.get_ident())
+                    raise RecursionError("pathological page")
+                return super().handle_line(line)
+
+        recorder = CrashesOnce()
+        long_line = "x" * (INLINE_LINE_BYTES + 1)
+
+        async def scenario(front):
+            answers = [
+                await _roundtrip(
+                    front.port, _post("/extract", long_line.encode("utf-8"))
+                )
+                for _ in range(2)
+            ]
+            return answers, threading.get_ident()
+
+        (answers, loop_thread), front = _with_front_end(recorder, scenario)
+        (status, _, crashed), (again, _, answered) = answers
+        assert status == again == 200
+        assert "RecursionError: pathological page" in (
+            json.loads(crashed)["error"]
+        )
+        assert json.loads(answered) == {"line": long_line}
+        first, second = recorder.threads
+        assert first == second != loop_thread
+        assert (front.stats.pages, front.stats.served) == (2, 1)
+
+    def test_long_and_short_lines_count_in_the_same_request_series(
+        self, service_repository, service_site
+    ):
+        # contained_handle is the one chokepoint on either thread.
+        registry = MetricsRegistry()
+        handler = ServeHandler(
+            service_repository, cluster="imdb-movies", metrics=registry
+        )
+        page = service_site.pages_with_hint("imdb-movies")[0]
+        padded = json.dumps({
+            "url": page.url,
+            "html": page.html + "<!-- " + "x" * INLINE_LINE_BYTES + " -->",
+        })
+
+        async def scenario(front):
+            for line in (_line(page), padded):
+                status, _, _ = await _roundtrip(
+                    front.port, _post("/extract", line.encode("utf-8"))
+                )
+                assert status == 200
+            return front._extractor is not None
+
+        hopped, _ = _with_front_end(handler, scenario)
+        assert hopped
+        parsed = parse_exposition(registry.render())
+        assert parsed["repro_requests_total"][
+            'repro_requests_total{outcome="served"}'
+        ] == 2.0
+        assert parsed["repro_request_seconds"][
+            "repro_request_seconds_count"
+        ] == 2.0
 
 
 def test_stop_before_start_is_a_noop(handler):

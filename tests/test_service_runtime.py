@@ -172,6 +172,17 @@ class TestStreamingRuntime:
         _, records = runtime.run_collect(PairSource())
         assert [r.index for r in records] == [index for index, _ in items]
 
+    def test_unordered_flag_still_emits_in_submission_order(
+        self, movie_pages_30, service_repository
+    ):
+        # ``ordered=`` is accepted for callers that still pass it; the
+        # process pool's records leave in submission order either way.
+        runtime = StreamingRuntime(
+            service_repository, workers=2, chunk_size=4, ordered=False
+        )
+        _, records = runtime.run_collect(IterablePageSource(movie_pages_30))
+        assert [r.index for r in records] == list(range(len(movie_pages_30)))
+
     def test_extraction_exception_propagates_without_containment(
         self, movie_pages_30, service_repository, monkeypatch
     ):

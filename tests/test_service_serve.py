@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -137,6 +138,43 @@ def _capped(service_repository, max_decode_failures: int) -> ServeHandler:
         service_repository, cluster="imdb-movies",
         policy=ServePolicy(max_decode_failures=max_decode_failures),
     )
+
+
+class _EchoHandler:
+    """Answers each line with itself."""
+
+    def handle_line(self, line):
+        return line, True
+
+
+class _CountingStdout(io.StringIO):
+    """Counts the whole records written, and those flushed."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed = 0
+
+    @property
+    def written(self) -> int:
+        return self.getvalue().count("\n")
+
+    def flush(self):
+        super().flush()
+        self.flushed = self.written
+
+
+class _WatchedStdin:
+    """Hands out its lines, noting at each read what the output held."""
+
+    def __init__(self, lines, stdout: _CountingStdout):
+        self._lines = list(lines)
+        self._stdout = stdout
+        #: ``(records written, records flushed)`` at each read.
+        self.seen = []
+
+    def readline(self):
+        self.seen.append((self._stdout.written, self._stdout.flushed))
+        return self._lines.pop(0) if self._lines else ""
 
 
 class TestServeLines:
@@ -281,6 +319,101 @@ class TestServeLines:
         with pytest.raises(UnicodeEncodeError):
             serve_lines(handler, io.StringIO(text), NarrowStdout())
 
+    def test_reads_the_next_line_only_after_writing_the_record(self):
+        # One page in flight: every read after the first finds the
+        # previous line's record already written.
+        stdout = _CountingStdout()
+        stdin = _WatchedStdin([f"page-{i}\n" for i in range(5)], stdout)
+        stats = serve_lines(_EchoHandler(), stdin, stdout)
+        assert stats.served == 5
+        assert [written for written, _ in stdin.seen] == [0, 1, 2, 3, 4, 5]
+
+    def test_each_record_is_flushed_before_the_next_read(self):
+        # A consumer on a pipe sees each record before the loop waits
+        # for the next request, not when a buffer happens to fill.
+        stdout = _CountingStdout()
+        stdin = _WatchedStdin([f"page-{i}\n" for i in range(5)], stdout)
+        serve_lines(_EchoHandler(), stdin, stdout)
+        assert [flushed for _, flushed in stdin.seen] == [0, 1, 2, 3, 4, 5]
+
+    def test_a_consumer_hang_up_stops_reading_the_input(self):
+        # Nothing is read past the line whose record found the output
+        # closed: the producer upstream is not drained for nothing.
+        class HangsUpAfterTwo(_CountingStdout):
+            def write(self, text):
+                if self.written == 2:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        stdout = HangsUpAfterTwo()
+        stdin = _WatchedStdin([f"page-{i}\n" for i in range(6)], stdout)
+        closed = []
+        stats = serve_lines(
+            _EchoHandler(), stdin, stdout,
+            on_output_closed=lambda: closed.append(True),
+        )
+        assert stats.output_closed
+        assert stats.served == 2
+        assert stdout.getvalue() == "page-0\npage-1\n"
+        assert len(stdin.seen) == 3
+        assert closed == [True]
+
+    def test_answers_on_the_calling_thread_without_starting_one(self):
+        before = set(threading.enumerate())
+        answered = []
+
+        class ThreadNotingHandler:
+            def handle_line(self, line):
+                answered.append((
+                    threading.get_ident(),
+                    set(threading.enumerate()) <= before,
+                ))
+                return line, True
+
+        stats, _ = self._run(ThreadNotingHandler(), "page-0\npage-1\npage-2\n")
+        assert stats.served == 3
+        assert answered == [(threading.get_ident(), True)] * 3
+
+    def test_a_lockstep_client_on_real_pipes_gets_each_answer(
+        self, handler, service_site
+    ):
+        # A client that sends its next request only after reading the
+        # last answer: each line must be answered as soon as it is
+        # read, with no read-ahead or output buffering in the way.
+        pages = service_site.pages_with_hint("imdb-movies")[:4]
+        request_read, request_write = os.pipe()
+        record_read, record_write = os.pipe()
+        stdin = os.fdopen(request_read, "r", encoding="utf-8")
+        stdout = os.fdopen(record_write, "w", encoding="utf-8")
+        requests = os.fdopen(request_write, "w", encoding="utf-8")
+        records = os.fdopen(record_read, "r", encoding="utf-8")
+        sessions = []
+        server = threading.Thread(
+            target=lambda: sessions.append(
+                serve_lines(handler, stdin, stdout)
+            ),
+            daemon=True,
+        )
+        server.start()
+        answers = []
+        try:
+            for page in pages:
+                requests.write(_line(page) + "\n")
+                requests.flush()
+                ready, _, _ = select.select([record_read], [], [], 10)
+                assert ready, "no record within 10 s of its request"
+                answers.append(json.loads(records.readline()))
+        finally:
+            requests.close()  # EOF ends the session
+            server.join(timeout=10)
+            for stream in (stdin, stdout, records):
+                stream.close()
+        assert [answer["url"] for answer in answers] == [
+            page.url for page in pages
+        ]
+        (stats,) = sessions
+        assert stats.served == len(pages)
+
 
 # --------------------------------------------------------------------- #
 # One policy, one record shape: the front-ends may never drift
@@ -294,13 +427,18 @@ def _drive_front_end(front_end: str, handler, lines: list[str]):
         stdout = io.StringIO()
         serve_lines(handler, io.StringIO(text), stdout)
         return stdout.getvalue().splitlines()
+    if front_end == "http-extract":
+        from test_service_http import http_extract_lines
+
+        return http_extract_lines(handler, lines)
     assert front_end == "http"
     from test_service_http import http_batch_lines
 
     return http_batch_lines(handler, lines)
 
 
-FRONT_ENDS = ("stdin", "http")
+#: The stdin loop, ``POST /batch`` and one ``POST /extract`` per line.
+FRONT_ENDS = ("stdin", "http", "http-extract")
 
 
 class TestFrontEndParity:
@@ -407,6 +545,26 @@ class TestInterrupt:
         assert [json.loads(line)["url"] for line in lines] == [
             page.url for page in pages
         ]
+
+    def test_interrupt_inside_the_handler_keeps_written_records_whole(self):
+        # Ctrl-C lands mid-extraction: containment must not swallow it
+        # into an error record, and the page it cut short writes
+        # nothing, so every line on the output is a whole record.
+        class InterruptedHandler:
+            def handle_line(self, line):
+                if line == "page-2":
+                    raise KeyboardInterrupt
+                return line, True
+
+        stdout = io.StringIO()
+        stats = serve_lines(
+            InterruptedHandler(),
+            io.StringIO("".join(f"page-{i}\n" for i in range(4))),
+            stdout,
+        )
+        assert stats.interrupted
+        assert stats.served == 2
+        assert stdout.getvalue() == "page-0\npage-1\n"
 
     def test_sigint_on_an_open_stdin_pipe_exits_promptly(
         self, service_repository, service_site, tmp_path
