@@ -21,9 +21,8 @@ from urllib.parse import urlparse
 
 from repro.errors import ClusteringError
 from repro.clustering.features import (
-    keyword_profile,
+    page_signature,
     page_tag_sequence,
-    path_profile,
     url_signature,
 )
 from repro.clustering.similarity import (
@@ -162,8 +161,9 @@ class PageClusterer:
     def _cluster_group(self, pages: list[WebPage]) -> list[PageCluster]:
         if len(pages) == 1:
             return [self._make_cluster(pages)]
-        profiles = [path_profile(page) for page in pages]
-        keywords = [keyword_profile(page) for page in pages]
+        signatures = [page_signature(page) for page in pages]
+        profiles = [signature.paths for signature in signatures]
+        keywords = [signature.keywords for signature in signatures]
         sequences = [page_tag_sequence(page) for page in pages]
 
         edges: list[tuple[int, int]] = []

@@ -12,7 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
-from repro.dom.traversal import iter_text_nodes, tag_path_profile, tag_sequence
+from repro.dom.node import Element, Node, Text
+from repro.dom.traversal import tag_path, tag_sequence
 from repro.sites.page import WebPage
 
 _NUMBER_RE = re.compile(r"\d+")
@@ -60,16 +61,11 @@ def keyword_profile(page: WebPage, limit: int = 30) -> Counter:
     The "keywords frequency" heuristic [22]: pages featuring instances
     of the same concept share template vocabulary (the constant labels
     — "Runtime:", "Directed by:" — dominate, because data values vary
-    across pages while labels repeat across the cluster).
+    across pages while labels repeat across the cluster).  Words are
+    counted in document order, so ``limit`` breaks count ties in
+    favour of the earlier word.
     """
-    counter: Counter = Counter()
-    for text in iter_text_nodes(page.root_element, skip_whitespace=True):
-        for word in _WORD_RE.findall(text.data.lower()):
-            if word not in _STOPWORDS and len(word) > 2:
-                counter[word] += 1
-    if limit and len(counter) > limit:
-        return Counter(dict(counter.most_common(limit)))
-    return counter
+    return _signature_walk(page.root_element, limit)[0]
 
 
 def tag_profile(page: WebPage) -> Counter:
@@ -84,7 +80,7 @@ def path_profile(page: WebPage) -> Counter:
     paths even when optional blocks differ — this is the "close HTML
     structure" membership criterion.
     """
-    return Counter(tag_path_profile(page.root_element))
+    return _signature_walk(page.root_element)[1]
 
 
 def page_tag_sequence(page: WebPage) -> list[str]:
@@ -99,9 +95,8 @@ class PageSignature:
     The three membership signals of Section 2.1 (URL shape, concept
     keywords, HTML structure) travel as one value for consumers that
     need them together — notably the service router
-    (:mod:`repro.service.router`).  Each profile still runs its own
-    DOM traversal; fusing them into a literal single walk is a
-    follow-up optimisation.
+    (:mod:`repro.service.router`).  Keywords and tag paths come from
+    one preorder walk of the page.
     """
 
     url_signature: str
@@ -111,8 +106,42 @@ class PageSignature:
 
 def page_signature(page: WebPage, keyword_limit: int = 30) -> PageSignature:
     """Compute the page's full clustering signature."""
+    keywords, paths = _signature_walk(page.root_element, keyword_limit)
     return PageSignature(
         url_signature=url_signature(page.url),
-        keywords=keyword_profile(page, limit=keyword_limit),
-        paths=path_profile(page),
+        keywords=keywords,
+        paths=paths,
     )
+
+
+def _signature_walk(root: Element, limit: int = 30) -> tuple[Counter, Counter]:
+    """``(keywords, paths)`` of ``root``'s subtree in one preorder walk.
+
+    The stack holds ``(node, parent's tag path)``, so each element's
+    path costs one tuple concatenation rather than a climb to the root
+    (:func:`~repro.dom.traversal.tag_path`), and text is gathered in
+    document order for the keyword count.  Comments contribute nothing.
+    """
+    paths: list[tuple[str, ...]] = []
+    texts: list[str] = []
+    stack: list[tuple[Node, tuple[str, ...]]] = [(root, tag_path(root)[:-1])]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node, parent_path = pop()
+        if isinstance(node, Element):
+            path = parent_path + (node.tag,)
+            paths.append(path)
+            children = node.children
+            if children:
+                push([(child, path) for child in reversed(children)])
+        elif isinstance(node, Text):
+            texts.append(node.data)
+    # One text per line: no word spans two nodes, and whitespace-only
+    # nodes hold no word, so this counts each node's words in order.
+    counter = Counter([
+        word for word in _WORD_RE.findall("\n".join(texts).lower())
+        if word not in _STOPWORDS and len(word) > 2
+    ])
+    if limit and len(counter) > limit:
+        counter = Counter(dict(counter.most_common(limit)))
+    return counter, Counter(paths)

@@ -88,7 +88,13 @@ def tag_sequence(root: Node) -> list[str]:
 
 
 def tag_path_profile(root: Node) -> dict[tuple[str, ...], int]:
-    """Multiset of root-to-element tag paths, as a path -> count mapping."""
+    """Multiset of root-to-element tag paths, as a path -> count mapping.
+
+    The definition in its plainest form: one :func:`tag_path` climb per
+    element, O(elements x depth).  The page signature
+    (:func:`repro.clustering.features.page_signature`) computes the same
+    multiset in one O(n) walk and is checked against this.
+    """
     profile: dict[tuple[str, ...], int] = {}
     for element in iter_elements(root):
         path = tag_path(element)

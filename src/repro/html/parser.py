@@ -34,7 +34,6 @@ from repro.dom.node import Comment, Document, Element, Text
 from repro.dom.serialize import VOID_ELEMENTS
 from repro.html.tokenizer import (
     CommentToken,
-    DoctypeToken,
     EndTagToken,
     StartTagToken,
     TextToken,
@@ -178,12 +177,17 @@ class _TreeBuilder:
             if not data.strip():
                 return  # inter-element whitespace before body: drop
             self.ensure_body()
-        parent = self.current
-        last = parent.children[-1] if parent.children else None
-        if isinstance(last, Text):
-            last.data += data  # merge adjacent text nodes, like browsers
+        parent = self.stack[-1]  # the body exists, so the stack is never empty
+        children = parent.children
+        if children and isinstance(children[-1], Text):
+            children[-1].data += data  # merge adjacent text nodes, like browsers
         else:
-            parent.append_child(Text(data))
+            # Attached directly rather than by append_child: a fresh
+            # node has no parent to detach from, and a tree under
+            # construction has no document-order stamps to invalidate.
+            text = Text(data)
+            text.parent = parent
+            children.append(text)
 
     def insert_comment(self, data: str) -> None:
         if self.body is None and self.html is not None:
@@ -222,17 +226,20 @@ class _TreeBuilder:
             self.stack = [element]
             return
 
-        self.ensure_body()
-        self._apply_implied_end_tags(tag)
+        if self.body is None:
+            self.ensure_body()
+        closes = _IMPLIED_END.get(tag)
+        if closes:
+            self._apply_implied_end_tags(tag, closes)
         element = Element(tag, token.attributes)
-        self.current.append_child(element)
+        parent = self.stack[-1]  # the body exists, so the stack is never empty
+        # Attached directly, as in insert_text.
+        element.parent = parent
+        parent.children.append(element)
         if tag not in VOID_ELEMENTS and not token.self_closing:
             self.stack.append(element)
 
-    def _apply_implied_end_tags(self, tag: str) -> None:
-        closes = _IMPLIED_END.get(tag)
-        if not closes:
-            return
+    def _apply_implied_end_tags(self, tag: str, closes: frozenset[str]) -> None:
         boundaries = _CLOSE_BOUNDARIES.get(tag, frozenset({"BODY"}))
         # Find the nearest enclosing boundary element (e.g. the TABLE for a
         # new TR, the UL/OL for a new LI), then close the *deepest* open
@@ -296,15 +303,16 @@ def parse_html(source: str, url: str = "") -> Document:
         2
     """
     builder = _TreeBuilder(url)
+    # The token classes have no subclasses, so the exact type decides;
+    # doctype tokens are ignored.
     for token in tokenize(source):
-        if isinstance(token, TextToken):
+        kind = type(token)
+        if kind is TextToken:
             builder.insert_text(token.data)
-        elif isinstance(token, StartTagToken):
+        elif kind is StartTagToken:
             builder.start_tag(token)
-        elif isinstance(token, EndTagToken):
+        elif kind is EndTagToken:
             builder.end_tag(token)
-        elif isinstance(token, CommentToken):
+        elif kind is CommentToken:
             builder.insert_comment(token.data)
-        elif isinstance(token, DoctypeToken):
-            continue
     return builder.finish()

@@ -528,7 +528,12 @@ class TestDrainAgreement:
             await writer.drain()
             status, _, _ = await _read_response(reader)
             assert status == 200
-            return reader, writer  # keep-alive, left open for the drain
+            # The keep-alive connection is still open when the drain
+            # starts; the client closes once the drain has counted it.
+            # The second shutdown() that _with_front_end makes is a no-op.
+            await front.shutdown()
+            writer.close()
+            await writer.wait_closed()
 
         _, front = _with_front_end(handler, scenario)
         assert front.stats.drained_connections == 1

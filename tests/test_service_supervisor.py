@@ -192,8 +192,11 @@ class _Supervisor:
         self._pump.start()
 
     def _drain(self):
-        for line in self.proc.stderr:
-            self.stderr_lines.append(line.decode("utf-8", "replace"))
+        # The pump owns the stderr pipe and closes it at EOF; closing it
+        # from another thread would block on the pump's pending read.
+        with self.proc.stderr:
+            for line in self.proc.stderr:
+                self.stderr_lines.append(line.decode("utf-8", "replace"))
 
     def _await_line(self, pattern, timeout=60):
         deadline = time.time() + timeout
@@ -228,6 +231,7 @@ class _Supervisor:
             self.proc.kill()
             self.proc.wait(10)
         self._pump.join(2)
+        self.proc.stdout.close()
 
     @property
     def stderr(self):
