@@ -28,33 +28,37 @@ Quickstart:
     'runtime'
 """
 
-from repro.core import (
-    Format,
-    MappingRule,
-    MappingRuleBuilder,
-    Multiplicity,
-    Optionality,
-    PageComponent,
-    RuleRepository,
-    ScriptedOracle,
-)
-from repro.extraction import (
-    ExtractionPipeline,
-    ExtractionProcessor,
-    PostProcessor,
-    generate_xml_schema,
-    write_cluster_xml,
-)
-from repro.clustering import PageClusterer
-from repro.html import parse_html
-from repro.sites import (
-    WebPage,
-    WebSite,
-    generate_imdb_site,
-    make_paper_sample,
-)
-from repro.workbench import WorkbenchSession
-from repro.xpath import select, select_one
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core": (
+        "Format",
+        "MappingRule",
+        "MappingRuleBuilder",
+        "Multiplicity",
+        "Optionality",
+        "PageComponent",
+        "RuleRepository",
+        "ScriptedOracle",
+    ),
+    "extraction": (
+        "ExtractionPipeline",
+        "ExtractionProcessor",
+        "PostProcessor",
+        "generate_xml_schema",
+        "write_cluster_xml",
+    ),
+    "clustering": ("PageClusterer",),
+    "html": ("parse_html",),
+    "sites": (
+        "WebPage",
+        "WebSite",
+        "generate_imdb_site",
+        "make_paper_sample",
+    ),
+    "workbench": ("WorkbenchSession",),
+    "xpath": ("select", "select_one"),
+})
 
 __version__ = "1.0.0"
 

@@ -55,7 +55,6 @@ auditable in the log.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import dataclasses
 import os
@@ -65,19 +64,12 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+# Module level holds only what every deploy and batch path needs; each
+# command imports the rest itself, so ``serve`` never loads the
+# rule-induction stack or the site generators, nor ``batch`` asyncio.
 from repro.errors import LintGateError, RegistryError, RepositoryError
-from repro.clustering.cluster import PageClusterer
-from repro.core.builder import MappingRuleBuilder
-from repro.core.oracle import InteractiveOracle, ScriptedOracle
 from repro.core.repository import RuleRepository
-from repro.extraction.extractor import ExtractionProcessor
-from repro.extraction.schema import generate_xml_schema
-from repro.extraction.xml_writer import write_cluster_xml
-from repro.sites.imdb import generate_imdb_site, make_paper_sample
-from repro.sites.news import generate_news_site
 from repro.sites.page import WebPage
-from repro.sites.shop import generate_shop_site
-from repro.sites.stocks import generate_stocks_site
 
 
 #: ``generate`` names files ``<cluster_hint>-NNNN.html`` (4+ digits —
@@ -152,7 +144,12 @@ def _save_site(site, directory: Path) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.core.builder import MappingRuleBuilder
     from repro.core.checking import check_rule, render_check_table
+    from repro.core.oracle import ScriptedOracle
+    from repro.extraction.extractor import ExtractionProcessor
+    from repro.extraction.xml_writer import write_cluster_xml
+    from repro.sites.imdb import make_paper_sample
 
     sample = make_paper_sample()
     oracle = ScriptedOracle()
@@ -181,6 +178,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.sites.imdb import generate_imdb_site
+    from repro.sites.news import generate_news_site
+    from repro.sites.shop import generate_shop_site
+    from repro.sites.stocks import generate_stocks_site
+
     generators = {
         "imdb": lambda: generate_imdb_site(
             n_movies=args.pages, n_actors=args.pages // 3,
@@ -199,6 +201,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.clustering.cluster import PageClusterer
+
     pages = _load_pages(Path(args.directory))
     if not pages:
         print("no *.html files found", file=sys.stderr)
@@ -214,6 +218,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from repro.core.builder import MappingRuleBuilder
+    from repro.core.oracle import InteractiveOracle
+
     pages = _load_pages(Path(args.directory))
     if not pages:
         print("no *.html files found", file=sys.stderr)
@@ -236,6 +243,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from repro.extraction.extractor import ExtractionProcessor
+    from repro.extraction.schema import generate_xml_schema
+    from repro.extraction.xml_writer import write_cluster_xml
+
     pages = _load_pages(Path(args.directory))
     repository = RuleRepository.load(args.repository)
     processor = ExtractionProcessor(repository, args.cluster)
@@ -360,9 +371,9 @@ def _attach_adapter_log(adapter, args, log_suffix: str = "") -> None:
     ``log_suffix`` keeps audit logs apart when one process runs
     several adaptive workers (``shard resume``).
     """
-    from repro.service import AdaptationLog
-
     if adapter is not None and args.adapt_log:
+        from repro.service import AdaptationLog
+
         adapter.log = AdaptationLog(args.adapt_log + log_suffix)
 
 
@@ -972,11 +983,17 @@ def _serve_http(handler, args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     fleet = args.workers > 1 or args.gateway
+    # Imported here, not in the coroutine: an import there would run
+    # module code on the event loop.
+    import asyncio
+
+    if fleet:
+        from repro.service.supervisor import ServeSupervisor
+    else:
+        from repro.service.http import HttpFrontEnd
 
     async def _run():
         if fleet:
-            from repro.service.supervisor import ServeSupervisor
-
             server = ServeSupervisor(
                 handler, host, port, workers=args.workers,
                 gateway=args.gateway, slice_lines=args.gateway_slice,
@@ -987,8 +1004,6 @@ def _serve_http(handler, args) -> int:
             on_signal = {signal.SIGINT: server.interrupt,
                          signal.SIGTERM: server.stop}
         else:
-            from repro.service.http import HttpFrontEnd
-
             server = HttpFrontEnd(
                 handler, host, port, drain_timeout=args.http_drain_timeout
             )

@@ -16,17 +16,18 @@ applies the paper's membership test: same domain, same concept
 (keyword similarity), close HTML structure.
 """
 
-from repro.clustering.cluster import ClusteringResult, PageCluster, PageClusterer
-from repro.clustering.features import (
-    keyword_profile,
-    url_signature,
-)
-from repro.clustering.similarity import (
-    cosine_similarity,
-    jaccard_similarity,
-    structure_similarity,
-    tag_sequence_similarity,
-)
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cluster": ("ClusteringResult", "PageCluster", "PageClusterer"),
+    "features": ("keyword_profile", "url_signature"),
+    "similarity": (
+        "cosine_similarity",
+        "jaccard_similarity",
+        "structure_similarity",
+        "tag_sequence_similarity",
+    ),
+})
 
 __all__ = [
     "PageClusterer",

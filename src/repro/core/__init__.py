@@ -31,44 +31,45 @@ This package implements the whole Figure-3 scenario:
 * :mod:`repro.core.repository` — persistent rule repository.
 """
 
-from repro.core.builder import BuildReport, MappingRuleBuilder
-from repro.core.checking import (
-    CheckOutcome,
-    CheckReport,
-    CheckRow,
-    check_rule,
-    render_check_table,
-)
-from repro.core.component import (
-    Format,
-    Multiplicity,
-    Optionality,
-    PageComponent,
-    validate_component_name,
-)
-from repro.core.oracle import (
-    InteractiveOracle,
-    Oracle,
-    ScriptedOracle,
-    Selection,
-)
-from repro.core.refinement import (
-    RefinementEngine,
-    RefinementTrace,
-)
-from repro.core.repository import Aggregation, RuleRepository
-from repro.core.rule import MappingRule, MatchResult
-from repro.core.schema_guided import (
-    ComponentSpec,
-    SchemaGuidedBuilder,
-    SchemaTemplate,
-)
-from repro.core.xpath_builder import (
-    broaden_multiplicity,
-    build_contextual_xpath,
-    build_precise_xpath,
-    deduce_repetitive_tag,
-)
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "builder": ("BuildReport", "MappingRuleBuilder"),
+    "checking": (
+        "CheckOutcome",
+        "CheckReport",
+        "CheckRow",
+        "check_rule",
+        "render_check_table",
+    ),
+    "component": (
+        "Format",
+        "Multiplicity",
+        "Optionality",
+        "PageComponent",
+        "validate_component_name",
+    ),
+    "oracle": (
+        "InteractiveOracle",
+        "Oracle",
+        "ScriptedOracle",
+        "Selection",
+    ),
+    "refinement": ("RefinementEngine", "RefinementTrace"),
+    "repository": ("Aggregation", "RuleRepository"),
+    "rule": ("MappingRule", "MatchResult"),
+    "schema_guided": (
+        "ComponentSpec",
+        "SchemaGuidedBuilder",
+        "SchemaTemplate",
+    ),
+    "xpath_builder": (
+        "broaden_multiplicity",
+        "build_contextual_xpath",
+        "build_precise_xpath",
+        "deduce_repetitive_tag",
+    ),
+})
 
 __all__ = [
     "Aggregation",

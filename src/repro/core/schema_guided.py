@@ -157,7 +157,6 @@ _ELEMENT_RE = re.compile(
 )
 _MIN_RE = re.compile(r'minOccurs="([^"]+)"')
 _MAX_RE = re.compile(r'maxOccurs="([^"]+)"')
-_TYPE_RE = re.compile(r'type="xs:string"')
 
 
 def _scan_xsd_elements(xsd_text: str) -> list[_XsdElement]:

@@ -22,21 +22,25 @@ element for each page component."
   cluster -> rules -> XML.
 """
 
-from repro.extraction.extractor import (
-    ExtractionFailure,
-    ExtractionProcessor,
-    ExtractionResult,
-    ExtractedPage,
-)
-from repro.extraction.postprocess import (
-    PostProcessor,
-    regex_extractor,
-    strip_prefix,
-    strip_suffix,
-)
-from repro.extraction.schema import generate_xml_schema
-from repro.extraction.xml_writer import write_cluster_xml
-from repro.extraction.pipeline import ExtractionPipeline, PipelineResult
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "extractor": (
+        "ExtractionFailure",
+        "ExtractionProcessor",
+        "ExtractionResult",
+        "ExtractedPage",
+    ),
+    "postprocess": (
+        "PostProcessor",
+        "regex_extractor",
+        "strip_prefix",
+        "strip_suffix",
+    ),
+    "schema": ("generate_xml_schema",),
+    "xml_writer": ("write_cluster_xml",),
+    "pipeline": ("ExtractionPipeline", "PipelineResult"),
+})
 
 __all__ = [
     "ExtractionProcessor",

@@ -45,100 +45,109 @@ Every entry point is a composition over the same
   cancellation for long batch/shard runs.
 """
 
-from repro.service.adapt import (
-    AdaptationLog,
-    AdaptiveRouter,
-    DriftEvent,
-    DriftMonitor,
-    RefitEvent,
-    make_adapter,
-)
-from repro.service.automaton import (
-    AutomatonStats,
-    ExtractionAutomaton,
-    automaton_steps,
-)
-from repro.service.compiler import (
-    CompiledRule,
-    CompiledWrapper,
-    CompilerStats,
-    compile_wrapper,
-)
-from repro.service.router import ClusterProfile, ClusterRouter, RouteDecision, UNROUTABLE
-from repro.service.runtime import (
-    ClusterStats,
-    IterablePageSource,
-    LoadingPageSource,
-    PageSource,
-    RuntimeReport,
-    StreamingRuntime,
-)
-from repro.service.http import HttpFrontEnd, HttpStats
-from repro.service.metrics import (
-    AdmissionController,
-    AdmissionDecision,
-    CancellationToken,
-    METRIC_SPECS,
-    MetricSpec,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
-    ProgressEmitter,
-    TokenBucket,
-    default_registry,
-    merge_expositions,
-    parse_exposition,
-    render_metrics_table,
-)
-from repro.service.registry import (
-    ArtifactRegistry,
-    CanaryController,
-    PromoteEvent,
-    RollbackEvent,
-    ShadowEvent,
-    VersionManifest,
-    canonical_json,
-    content_hash,
-    version_id,
-    wrapper_extractor,
-)
-from repro.service.serve import (
-    ServeHandler,
-    ServePolicy,
-    ServeStats,
-    serve_lines,
-)
-from repro.service.shard import (
-    MergeReport,
-    ShardManifest,
-    ShardMerger,
-    ShardPlan,
-    ShardPlanner,
-    ShardStatus,
-    ShardWorker,
-    XmlShardMerger,
-    incomplete_shards,
-    shard_statuses,
-    stable_shard,
-)
-from repro.service.supervisor import (
-    GatewayError,
-    ServeSupervisor,
-    SliceCheckpoint,
-    SupervisorStats,
-    restart_backoff,
-    slice_body,
-)
-from repro.service.sink import (
-    CollectingSink,
-    JsonlSink,
-    NullSink,
-    PageRecord,
-    ResultSink,
-    XmlDirectorySink,
-    make_error_record,
-    make_unroutable_record,
-)
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "adapt": (
+        "AdaptationLog",
+        "AdaptiveRouter",
+        "DriftEvent",
+        "DriftMonitor",
+        "RefitEvent",
+        "make_adapter",
+    ),
+    "automaton": (
+        "AutomatonStats",
+        "ExtractionAutomaton",
+        "automaton_steps",
+    ),
+    "compiler": (
+        "CompiledRule",
+        "CompiledWrapper",
+        "CompilerStats",
+        "compile_wrapper",
+    ),
+    "router": (
+        "ClusterProfile",
+        "ClusterRouter",
+        "RouteDecision",
+        "UNROUTABLE",
+    ),
+    "runtime": (
+        "ClusterStats",
+        "IterablePageSource",
+        "LoadingPageSource",
+        "PageSource",
+        "RuntimeReport",
+        "StreamingRuntime",
+    ),
+    "http": ("HttpFrontEnd", "HttpStats"),
+    "metrics": (
+        "AdmissionController",
+        "AdmissionDecision",
+        "CancellationToken",
+        "METRIC_SPECS",
+        "MetricSpec",
+        "MetricsRegistry",
+        "NULL_METRICS",
+        "NullMetricsRegistry",
+        "ProgressEmitter",
+        "TokenBucket",
+        "default_registry",
+        "merge_expositions",
+        "parse_exposition",
+        "render_metrics_table",
+    ),
+    "registry": (
+        "ArtifactRegistry",
+        "CanaryController",
+        "PromoteEvent",
+        "RollbackEvent",
+        "ShadowEvent",
+        "VersionManifest",
+        "canonical_json",
+        "content_hash",
+        "version_id",
+        "wrapper_extractor",
+    ),
+    "serve": (
+        "ServeHandler",
+        "ServePolicy",
+        "ServeStats",
+        "serve_lines",
+    ),
+    "shard": (
+        "MergeReport",
+        "ShardManifest",
+        "ShardMerger",
+        "ShardPlan",
+        "ShardPlanner",
+        "ShardStatus",
+        "ShardWorker",
+        "XmlShardMerger",
+        "incomplete_shards",
+        "shard_statuses",
+        "stable_shard",
+    ),
+    "supervisor": (
+        "GatewayError",
+        "ServeSupervisor",
+        "SliceCheckpoint",
+        "SupervisorStats",
+        "restart_backoff",
+        "slice_body",
+    ),
+    "sink": (
+        "CollectingSink",
+        "JsonlSink",
+        "NullSink",
+        "PageRecord",
+        "ResultSink",
+        "XmlDirectorySink",
+        "make_error_record",
+        "make_unroutable_record",
+    ),
+})
 
 __all__ = [
     "AdaptationLog",

@@ -10,34 +10,34 @@ The persistence/deployment tier between "adaptive" and "operable":
   candidates and the promote/rollback verdict loop.
 """
 
-from repro.service.registry.artifacts import (
-    ARTIFACT_FORMAT,
-    VERSION_ID_LENGTH,
-    artifact_payload,
-    canonical_json,
-    content_hash,
-    payload_diff,
-    profile_from_dict,
-    profile_to_dict,
-    repository_from_payload,
-    router_from_dict,
-    router_from_payload,
-    router_to_dict,
-    version_id,
-)
-from repro.service.registry.canary import (
-    CanaryController,
-    LintRefusalEvent,
-    PromoteEvent,
-    RollbackEvent,
-    ShadowEvent,
-    wrapper_extractor,
-)
-from repro.service.registry.store import (
-    MANIFEST_FORMAT,
-    ArtifactRegistry,
-    VersionManifest,
-)
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "artifacts": (
+        "ARTIFACT_FORMAT",
+        "VERSION_ID_LENGTH",
+        "artifact_payload",
+        "canonical_json",
+        "content_hash",
+        "payload_diff",
+        "profile_from_dict",
+        "profile_to_dict",
+        "repository_from_payload",
+        "router_from_dict",
+        "router_from_payload",
+        "router_to_dict",
+        "version_id",
+    ),
+    "canary": (
+        "CanaryController",
+        "LintRefusalEvent",
+        "PromoteEvent",
+        "RollbackEvent",
+        "ShadowEvent",
+        "wrapper_extractor",
+    ),
+    "store": ("MANIFEST_FORMAT", "ArtifactRegistry", "VersionManifest"),
+})
 
 __all__ = [
     "ARTIFACT_FORMAT",

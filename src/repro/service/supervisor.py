@@ -54,6 +54,7 @@ import os
 import re
 import signal
 import socket
+import stat
 import sys
 import time
 from typing import Dict, Optional
@@ -135,6 +136,23 @@ def restart_backoff(failures: int) -> float:
         RESTART_BACKOFF_CAP,
         RESTART_BACKOFF_BASE * (2 ** max(0, failures - 1)),
     )
+
+
+def _inherited_sockets() -> list[int]:  # pragma: no cover - child only
+    """The socket fds this process holds, bar stdin, stdout and stderr.
+
+    ``/dev/fd`` lists the open fds (on Linux it is ``/proc/self/fd``);
+    the directory's own fd is closed again by the time it is checked.
+    """
+    fds = []
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
+        try:
+            if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                fds.append(fd)
+        except OSError:
+            pass
+    return fds
 
 
 @dataclasses.dataclass
@@ -342,12 +360,6 @@ class ServeSupervisor:
         self._watcher: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._restart_tasks: set[asyncio.Task] = set()
-        #: fds of the parent's in-flight requests to children.  A
-        #: restart fork would make the new child inherit copies of them
-        #: (and of the parent port's client connections), and a peer
-        #: waiting for the parent's FIN would then hang until that
-        #: child died — every fresh child closes them first thing.
-        self._client_fds: set[int] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
         self._stopping = False
@@ -432,26 +444,29 @@ class ServeSupervisor:
         tracer cannot report (``os._exit`` skips its atexit save)
         — exercised by the subprocess integration tests instead.
         """
-        fds = {c.read_fd for c in self._children.values() if c.read_fd is not None}
-        fds.update(self._client_fds)
-        if self._front is not None:
-            fds.update(self._front.client_fds())
-        for fd in fds:
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._client_fds = set()
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-        if self._probe_sock is not None:
-            self._probe_sock.close()
         try:
             signal.set_wakeup_fd(-1)
         except (ValueError, OSError):  # pragma: no cover - no wakeup fd
             pass
         for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGCHLD):
             signal.signal(signum, signal.SIG_DFL)
+        # The fork copied every socket the parent has open, at whatever
+        # stage of its life: the ports, client connections accepted but
+        # not yet served or closed but not yet released, requests to
+        # other children.  A copy left open keeps its connection alive
+        # after the parent closes it, and the peer waits for an end
+        # until this child dies, so the child closes them all.
+        fds = {c.read_fd for c in self._children.values() if c.read_fd is not None}
+        fds.update(_inherited_sockets())
+        for fd in fds:
+            try:
+                os.close(fd)
+            except OSError:  # pragma: no cover - already closed
+                pass
+        # Their fds are closed: detach, so nothing closes a reused number.
+        for sock in (self._listen_sock, self._probe_sock):
+            if sock is not None:
+                sock.detach()
         # The fork happened inside the parent's running loop; clear the
         # inherited "a loop is running" marker so the child can run its
         # own fresh loop.
@@ -878,14 +893,11 @@ class ServeSupervisor:
             asyncio.open_connection("127.0.0.1", child.control_port),
             timeout=10.0,
         )
-        fd = writer.get_extra_info("socket").fileno()
-        self._client_fds.add(fd)
         try:
             writer.write(raw)
             await writer.drain()
             return await _read_client_response(reader)
         finally:
-            self._client_fds.discard(fd)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1020,15 +1032,6 @@ class _FleetPort(HttpFrontEnd):
         if supervisor.gateway:
             # The public port: its clients are the fleet's clients.
             self.stats = supervisor.stats
-
-    def client_fds(self) -> list[int]:
-        """fds of the open client connections (a fork closes its copies)."""
-        fds = []
-        for connection in self._connections.values():
-            sock = connection.writer.get_extra_info("socket")
-            if sock is not None and sock.fileno() >= 0:
-                fds.append(sock.fileno())
-        return fds
 
     def abort_connections(self) -> None:
         """Cut every open connection now (the second SIGINT)."""

@@ -24,16 +24,16 @@ All generators are deterministic given a seed, so tests and benchmarks
 are reproducible.
 """
 
-from repro.sites.page import WebPage
-from repro.sites.site import WebSite
-from repro.sites.imdb import (
-    PAPER_SAMPLE_IDS,
-    generate_imdb_site,
-    make_paper_sample,
-)
-from repro.sites.shop import generate_shop_site
-from repro.sites.news import generate_news_site
-from repro.sites.stocks import generate_stocks_site
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "page": ("WebPage",),
+    "site": ("WebSite",),
+    "imdb": ("PAPER_SAMPLE_IDS", "generate_imdb_site", "make_paper_sample"),
+    "shop": ("generate_shop_site",),
+    "news": ("generate_news_site",),
+    "stocks": ("generate_stocks_site",),
+})
 
 __all__ = [
     "WebPage",

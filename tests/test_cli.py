@@ -117,7 +117,9 @@ def test_build_interactive(tmp_path, capsys, monkeypatch):
         def expected_texts(self, page, component_name):
             return [titles[page.url.rsplit("/", 1)[-1]]]
 
-    monkeypatch.setattr("repro.cli.InteractiveOracle", FileTitleOracle)
+    # ``cmd_build`` imports its oracle when it runs, so the seam is the
+    # defining module's name.
+    monkeypatch.setattr("repro.core.oracle.InteractiveOracle", FileTitleOracle)
     repo_path = tmp_path / "rules.json"
     code = main([
         "build", str(site_dir), "title",

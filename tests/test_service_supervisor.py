@@ -649,6 +649,43 @@ class TestSupervisorInProcess:
 
         asyncio.run(run())
 
+    def test_a_restarted_child_keeps_no_socket_of_the_parent(
+        self, service_repository
+    ):
+        # A restart forks while the parent has connections open at any
+        # stage: accepted but not yet served, closed but not yet
+        # released, or opened by anything else in the process.  The
+        # child must drop its copy of every one, or the peer of a
+        # connection the parent closes never sees the end of it.
+        async def run():
+            handler = ServeHandler(service_repository, cluster="imdb-movies")
+            sup = ServeSupervisor(handler, workers=1, gateway=True)
+            await sup.start()
+            listener = socket.create_server(("127.0.0.1", 0))
+            peer = socket.create_connection(listener.getsockname())
+            ours, _ = listener.accept()
+            try:
+                (victim,) = [c.pid for c in sup._children.values()]
+                os.kill(victim, signal.SIGKILL)
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 20
+                while loop.time() < deadline and not (
+                    sup.stats.restarts >= 1 and sup._ready_children()
+                ):
+                    await asyncio.sleep(0.05)
+                assert sup._ready_children()
+                ours.close()
+                peer.settimeout(10)
+                assert peer.recv(1) == b""  # the parent's close ended it
+                sup.stop()
+                await asyncio.wait_for(sup.wait_stopped(), 30)
+            finally:
+                for sock in (ours, peer, listener):
+                    sock.close()
+                await sup.shutdown()
+
+        asyncio.run(run())
+
     def test_gateway_admission_refuses_at_the_parent(
         self, service_site, service_repository
     ):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""AST lint: blocking calls inside ``async def`` under repro.service.
+"""AST lint: blocking calls and imports inside ``async def`` under repro.service.
 
 The service layer mixes three concurrency regimes — the HTTP
 front-end's asyncio event loop (with one extraction thread for long
@@ -20,6 +20,11 @@ This checker walks the ASTs under ``src/repro/service/`` and flags:
   the fork start method outside the supervisor's dedicated pre-fork
   path (``supervisor.py``, which forks before any thread or loop
   exists by design and documents it).
+* **SC103** — an ``import`` statement lexically inside an ``async
+  def`` body.  Its first run reads files and executes module code on
+  the event loop's thread, so every connection waits; import at
+  module level or in the set-up code that starts the loop.  Nested
+  ``def`` bodies are excluded, as for SC101.
 
 Suppress a deliberate violation with a ``# sc: ok`` comment on the
 offending line (the supervisor's fork and the loop's startup-only
@@ -97,7 +102,7 @@ def _dotted_name(node: ast.AST) -> str:
 
 
 class _AsyncBlockingVisitor(ast.NodeVisitor):
-    """Collect blocking calls lexically inside coroutine bodies."""
+    """Collect blocking calls and imports lexically inside coroutine bodies."""
 
     def __init__(self, path: Path, source_lines: list):
         self.path = path
@@ -123,13 +128,31 @@ class _AsyncBlockingVisitor(ast.NodeVisitor):
         self.generic_visit(node)
         self._async_depth = saved
 
+    # -- imports ---------------------------------------------------------- #
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self._flag_import(node, ", ".join(a.name for a in node.names))
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self._flag_import(node, "." * node.level + (node.module or ""))
+
+    def _flag_import(self, node: ast.Import | ast.ImportFrom,
+                     what: str) -> None:
+        if self._async_depth > 0:
+            self._flag(
+                "SC103", node,
+                f"import of {what} inside async def (its first run "
+                "executes module code on the event loop; import it "
+                "before the loop starts)",
+            )
+
     # -- calls ------------------------------------------------------------ #
 
     def _suppressed(self, lineno: int) -> bool:
         line = self.lines[lineno - 1] if lineno <= len(self.lines) else ""
         return SUPPRESS_MARKER in line
 
-    def _flag(self, code: str, node: ast.Call, what: str) -> None:
+    def _flag(self, code: str, node: ast.stmt | ast.expr, what: str) -> None:
         if self._suppressed(node.lineno):
             return
         self.findings.append(
